@@ -33,11 +33,11 @@ from .solver import (
     NonUnisolventError,
     SaddleSystem,
     SingularSystemError,
-    SparseMatrix,
     factor_solve,
     gmres,
     spmv,
     sym_eig_minmax,
+    validated_csc,
 )
 from .lagrange import (
     ConstraintViolationError,

@@ -43,7 +43,6 @@ from .locallag import (
     FootprintRule,
     StencilFailureError,
     build_local_basis,
-    default_footprint,
     interpolate_preconditioned,
     load_basis,
     save_basis,
@@ -125,24 +124,31 @@ def _save_coeffs(path, a, c, config, spec, n):
 
 
 def _load_coeffs(path, n, spec):
-    a = np.zeros(n)
-    c = np.zeros(spec.poly_dim)
+    """Inverse of _save_coeffs; the N= m= line must match the nodes and --m."""
+    coeffs = {"a": np.zeros(n), "c": np.zeros(spec.poly_dim)}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith("# N="):
+                meta = dict(tok.split("=", 1) for tok in line[1:].split())
+                if int(meta["N"]) != n or int(meta["m"]) != spec.m:
+                    raise ValueError(
+                        f"{path}: coefficients are for N={meta['N']} m={meta['m']}, "
+                        f"not N={n} m={spec.m}"
+                    )
             if not line or line.startswith("#") or line.startswith("kind,"):
                 continue
             kind, idx, value = line.split(",")
-            if kind == "a":
-                a[int(idx)] = float(value)
-            elif kind == "c":
-                c[int(idx)] = float(value)
-            else:
+            if kind not in coeffs:
                 raise ValueError(f"{path}: unknown coefficient kind {kind!r}")
-    return a, c
+            idx, target = int(idx), coeffs[kind]
+            if not 0 <= idx < target.size:
+                raise ValueError(f"{path}: {kind} index {idx} is outside 0..{target.size - 1}")
+            target[idx] = float(value)
+    return coeffs["a"], coeffs["c"]
 
 
-def _footprint_from_args(args, n_nodes, spec):
+def _footprint_from_args(args):
     chosen = [x for x in (args.n, args.M, args.radius_K) if x is not None]
     if len(chosen) > 1:
         raise ValueError("give at most one of --n, --M, --radius-K")
@@ -152,7 +158,7 @@ def _footprint_from_args(args, n_nodes, spec):
         return FootprintRule(mode="count", M=float(args.M))
     if args.radius_K is not None:
         return FootprintRule(mode="radius", M=float(args.radius_K))
-    return FootprintRule(fixed_n=default_footprint(n_nodes, spec.m))
+    return FootprintRule()
 
 
 # ---- subcommands ---- #
@@ -182,27 +188,10 @@ def cmd_nodes_stats(args, config):
     return 0
 
 
-def cmd_lagrange(args, config):
-    nodes = load_nodes(args.nodes)
-    spec = KernelSpec(args.m)
-    study = decay_study(nodes, spec, center_idx=args.center_idx)
-    extra = [
-        f"center_idx={study.center_idx} h={study.h!r} q={study.q!r}",
-        f"fit_function: nu={study.fit_function.nu!r} C={study.fit_function.C!r} "
-        f"window={study.fit_function.window} r2={study.fit_function.r2!r}",
-        f"fit_coefficient: nu={study.fit_coefficient.nu!r} C={study.fit_coefficient.C!r} "
-        f"window={study.fit_coefficient.window} r2={study.fit_coefficient.r2!r}",
-    ]
-    rows = [("function", float(t), float(v)) for t, v in study.function_samples]
-    rows += [("coefficient", float(t), float(v)) for t, v in study.coefficient_samples]
-    write_csv(args.out_csv, ["kind", "t", "value"], rows, config, extra=extra)
-    return 0
-
-
 def cmd_build(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
-    rule = _footprint_from_args(args, len(nodes), spec)
+    rule = _footprint_from_args(args)
     basis = build_local_basis(
         nodes, spec, rule, grow_on_failure=args.grow_on_failure, threads=config.threads
     )
@@ -455,13 +444,6 @@ def build_parser():
     stats.add_argument("--probe", type=int, default=None, help="probe count for h")
     stats.add_argument("--out", default=None, help="CSV path (default stdout)")
     stats.set_defaults(func=cmd_nodes_stats)
-
-    lag = sub.add_parser("lagrange", help="decay samples of one full Lagrange function")
-    lag.add_argument("--nodes", required=True)
-    lag.add_argument("--m", type=int, default=2)
-    lag.add_argument("--center-idx", type=int, default=None)
-    lag.add_argument("--out-csv", required=True)
-    lag.set_defaults(func=cmd_lagrange)
 
     build = sub.add_parser("build", help="build and save a local Lagrange basis")
     build.add_argument("--nodes", required=True)

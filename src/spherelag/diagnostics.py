@@ -15,7 +15,7 @@ import numpy as np
 
 from .geom import NodeSet, ensure_stats, geodesic_distance, probe_sequence, tangent_frame
 from .kernel import KernelSpec, assemble_saddle, evaluate_expansion
-from .locallag import FootprintRule, build_local_basis, default_footprint, quasi_interpolate
+from .locallag import build_local_basis, quasi_interpolate
 from .solver import factor_solve
 
 PLATEAU_FLOOR = 1e-10
@@ -191,8 +191,7 @@ def convergence_study(generator, sizes, spec, f, probe_n=20_000, footprint=None)
         a, c = factor_solve(system, rhs)
         err_i = float(np.abs(evaluate_expansion(spec, nodes.points, a, c, probes) - f_ref).max())
 
-        rule = footprint or FootprintRule(fixed_n=default_footprint(len(nodes), spec.m))
-        basis = build_local_basis(nodes, spec, rule)
+        basis = build_local_basis(nodes, spec, footprint)
         err_q = float(np.abs(quasi_interpolate(basis, y)(probes) - f_ref).max())
 
         rows.append(

@@ -17,23 +17,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .geom import NodeSet, ensure_stats
 from .kernel import (
     KernelSpec,
+    assemble_saddle,
     evaluate_expansion,
     harmonic_basis_for,
     kernel_matrix,
     kernel_values,
 )
-from .solver import (
-    SaddleSystem,
-    SingularSystemError,
-    SparseMatrix,
-    factor_solve,
-    gmres,
-    spmv,
-)
+from .solver import SingularSystemError, factor_solve, gmres, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
@@ -77,24 +72,29 @@ def default_footprint(n_nodes, m=2):
 class FootprintRule:
     """How big the neighborhood of each center is.
 
-    count mode: n(N) = min(N, max(m^2 + 1, round(M * log(N)^2))) with natural
-    log, unless fixed_n pins the size directly. radius mode: r(h) = M*h*log(1/h)
-    and the footprint is a geodesic ball.
+    count mode: fixed_n pins the size directly; otherwise a given M gives
+    n(N) = min(N, max(m^2 + 1, round(M * log(N)^2))) with natural log, and
+    without M the size is default_footprint(N, m). radius mode: r(h) =
+    M*h*log(1/h) and the footprint is a geodesic ball.
     """
 
     mode: str = "count"
-    M: float = 7.0 / math.log(10.0) ** 2
+    M: float | None = None
     fixed_n: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("count", "radius"):
             raise ValueError(f"unknown footprint mode {self.mode!r}")
+        if self.mode == "radius" and self.M is None:
+            raise ValueError("radius mode needs M")
 
     def stencil_count(self, n_nodes, m):
         if self.mode != "count":
             raise ValueError("stencil_count applies to count mode only")
         if self.fixed_n is not None:
             target = int(self.fixed_n)
+        elif self.M is None:
+            return default_footprint(n_nodes, m)
         else:
             target = round(self.M * math.log(n_nodes) ** 2) if n_nodes > 1 else 1
         return min(n_nodes, max(m * m + 1, target))
@@ -109,49 +109,34 @@ class FootprintRule:
 
 @dataclass
 class LocalBasis:
-    """Sparse local Lagrange basis: column xi of A_sparse lives on Upsilon(xi)."""
+    """Sparse local Lagrange basis: column xi of A_sparse lives on Upsilon(xi).
+
+    A_sparse is a scipy.sparse.csc_array; its column counts are the footprint
+    sizes, np.diff(A_sparse.indptr).
+    """
 
     nodes: NodeSet
     spec: KernelSpec
-    A_sparse: SparseMatrix
+    A_sparse: scipy.sparse.csc_array
     C: np.ndarray
     footprint: FootprintRule
-    per_center_n: np.ndarray
-
-
-def _solve_stencil(spec, basis, pts, stencil):
-    """Cardinal solve on one footprint; the center is the first stencil entry."""
-    sub = pts[stencil]
-    n_loc = stencil.size
-    p = spec.poly_dim
-    M = np.zeros((n_loc + p, n_loc + p))
-    M[:n_loc, :n_loc] = kernel_matrix(spec, sub)
-    phi = basis.eval(sub)
-    M[:n_loc, n_loc:] = phi
-    M[n_loc:, :n_loc] = phi.T
-    rhs = np.zeros(n_loc + p)
-    rhs[0] = 1.0
-    a, c = factor_solve(SaddleSystem(n=n_loc, p=p, matrix=M), rhs)
-    return a, c
 
 
 def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False, threads=1):
     """Solve every footprint system and assemble the sparse basis.
 
-    footprint defaults to the practical count rule (fixed_n = default_footprint),
-    which is sized for preconditioning and does not bound the far-field gap to
-    the full basis (4.6e-2 at N = 2562, see docs/decisions.md). With
-    grow_on_failure a singular footprint is retried once at doubled size
-    (count) or doubled radius; remaining failures abort with StencilFailureError
-    listing all affected centers.
+    footprint defaults to FootprintRule(), the practical count rule
+    default_footprint(N, m). It is sized for preconditioning and does not bound
+    the far-field gap to the full basis (4.6e-2 at N = 2562, see
+    docs/decisions.md). With grow_on_failure a singular footprint is retried
+    once at doubled size (count) or doubled radius; remaining failures abort
+    with StencilFailureError listing all affected centers.
     """
     n = len(nodes)
     if n > MAX_NODES:
         raise ValueError(f"N = {n} exceeds the safety cap {MAX_NODES}")
-    if footprint is None:
-        footprint = FootprintRule(fixed_n=default_footprint(n, spec.m))
+    footprint = footprint or FootprintRule()
     pts = nodes.points
-    basis = harmonic_basis_for(spec)
     index = build_index(nodes)
 
     if footprint.mode == "count":
@@ -165,20 +150,27 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False, thr
         rows_of = lambda i: ball(index, pts[i], r)
         grow = lambda i: ball(index, pts[i], 2 * r)
 
+    def solve(stencil):
+        rhs = np.zeros(stencil.size + spec.poly_dim)
+        rhs[0] = 1.0  # the centre is the first stencil entry
+        return factor_solve(assemble_saddle(spec, pts, stencil), rhs)
+
     def run(i):
         stencil = np.asarray(rows_of(i), dtype=np.int64)
         try:
-            a, c = _solve_stencil(spec, basis, pts, stencil)
+            a, c = solve(stencil)
         except SingularSystemError:
             if not grow_on_failure:
                 return i, None, None, None
             stencil = np.asarray(grow(i), dtype=np.int64)
             try:
-                a, c = _solve_stencil(spec, basis, pts, stencil)
+                a, c = solve(stencil)
             except SingularSystemError:
                 return i, None, None, None
         order = np.argsort(stencil)
-        return i, stencil[order], a[order], c
+        rows, vals = stencil[order], a[order]
+        keep = vals != 0.0  # exact zeros are not stored
+        return i, rows[keep], vals[keep], c
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -190,24 +182,19 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False, thr
     if failed:
         raise StencilFailureError(failed)
 
-    columns = [(rows, vals) for _, rows, vals, _ in results]
-    C = np.column_stack([c for _, _, _, c in results])
-    per_center_n = np.array([rows.size for _, rows, _, _ in results], dtype=np.int64)
-    return LocalBasis(
-        nodes=nodes,
-        spec=spec,
-        A_sparse=SparseMatrix.from_columns(n, columns),
-        C=C,
-        footprint=footprint,
-        per_center_n=per_center_n,
-    )
+    _, rows, vals, cs = zip(*results)
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    A = validated_csc((n, n), indptr, np.concatenate(rows), np.concatenate(vals))
+    C = np.column_stack(cs)
+    return LocalBasis(nodes=nodes, spec=spec, A_sparse=A, C=C, footprint=footprint)
 
 
 def eval_local_function(basis, center_idx, points):
     """Values of the local Lagrange function chi_xi at arbitrary points."""
-    rows, vals = basis.A_sparse.column(center_idx)
+    A = basis.A_sparse
+    col = slice(A.indptr[center_idx], A.indptr[center_idx + 1])
     return evaluate_expansion(
-        basis.spec, basis.nodes.points[rows], vals, basis.C[:, center_idx], points
+        basis.spec, basis.nodes.points[A.indices[col]], A.data[col], basis.C[:, center_idx], points
     )
 
 
@@ -234,10 +221,8 @@ class QuasiInterpolant:
         )
 
 
-def quasi_interpolate(basis, f_values, exact=True):
+def quasi_interpolate(basis, f_values):
     """Quasi-interpolant of node data; needs no linear solve."""
-    if not exact:
-        raise ValueError("only exact full summation is supported")
     f = np.asarray(f_values, dtype=np.float64)
     if f.shape != (len(basis.nodes),):
         raise ValueError("data length does not match the node set")
@@ -324,20 +309,22 @@ def interpolate_preconditioned(
 # ---- basis file round trip ---- #
 
 def save_basis(path, basis, fmt="npz"):
-    """Persist a LocalBasis; 'npz' (compact) or 'csv' (documented text triplets)."""
+    """Persist a LocalBasis; 'npz' (compact) or 'csv' (documented text triplets).
+
+    An unset M is stored as NaN in npz files and left empty in csv files.
+    """
     A, rule = basis.A_sparse, basis.footprint
     if fmt == "npz":
         np.savez(
             path,
-            colptr=A.colptr,
-            rowidx=A.rowidx,
-            values=A.values,
+            colptr=A.indptr,
+            rowidx=A.indices,
+            values=A.data,
             C=basis.C,
-            per_center_n=basis.per_center_n,
             m=np.array([basis.spec.m]),
             n_nodes=np.array([len(basis.nodes)]),
             mode=np.array([rule.mode]),
-            M=np.array([rule.M]),
+            M=np.array([math.nan if rule.M is None else rule.M]),
             fixed_n=np.array([-1 if rule.fixed_n is None else rule.fixed_n]),
         )
     elif fmt == "csv":
@@ -345,13 +332,14 @@ def save_basis(path, basis, fmt="npz"):
             fh.write("# spherelag local basis, format csv\n")
             fh.write(
                 f"# N={len(basis.nodes)} m={basis.spec.m} mode={rule.mode} "
-                f"M={rule.M!r} fixed_n={'' if rule.fixed_n is None else rule.fixed_n}\n"
+                f"M={'' if rule.M is None else repr(rule.M)} "
+                f"fixed_n={'' if rule.fixed_n is None else rule.fixed_n}\n"
             )
             fh.write("kind,col,idx,value\n")
             writer = csv.writer(fh)
             for j in range(A.shape[1]):
-                rows, vals = A.column(j)
-                for r, v in zip(rows, vals):
+                col = slice(A.indptr[j], A.indptr[j + 1])
+                for r, v in zip(A.indices[col], A.data[col]):
                     writer.writerow(["k", j, r, repr(float(v))])
                 for k, v in enumerate(basis.C[:, j]):
                     writer.writerow(["p", j, k, repr(float(v))])
@@ -360,33 +348,23 @@ def save_basis(path, basis, fmt="npz"):
 
 
 def load_basis(path, nodes, spec):
-    """Inverse of save_basis; validates set size and kernel order."""
-    text = str(path).endswith(".csv")
-    if not text:
+    """Inverse of save_basis; validates set size, kernel order and every index."""
+    n = len(nodes)
+    if not str(path).endswith(".csv"):
         with np.load(path, allow_pickle=False) as data:
-            if int(data["n_nodes"][0]) != len(nodes):
+            if int(data["n_nodes"][0]) != n:
                 raise ValueError("basis was saved for a different node count")
             if int(data["m"][0]) != spec.m:
                 raise ValueError("basis was saved for a different kernel order")
-            fixed = int(data["fixed_n"][0])
+            M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
             rule = FootprintRule(
                 mode=str(data["mode"][0]),
-                M=float(data["M"][0]),
+                M=None if math.isnan(M) else M,
                 fixed_n=None if fixed < 0 else fixed,
             )
-            A = SparseMatrix(
-                (len(nodes), len(nodes)), data["colptr"], data["rowidx"], data["values"]
-            )
-            return LocalBasis(
-                nodes=nodes,
-                spec=spec,
-                A_sparse=A,
-                C=np.array(data["C"]),
-                footprint=rule,
-                per_center_n=np.array(data["per_center_n"]),
-            )
+            A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
+            return LocalBasis(nodes, spec, A, np.array(data["C"]), rule)
 
-    n = len(nodes)
     meta = {}
     data_rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -409,26 +387,31 @@ def load_basis(path, nodes, spec):
         raise ValueError("basis was saved for a different node count")
     if meta.get("m") is not None and int(meta["m"]) != spec.m:
         raise ValueError("basis was saved for a different kernel order")
-    columns = [([], []) for _ in range(n)]
+    cols, rows, vals = [], [], []
     C = np.zeros((spec.poly_dim, n))
     for line in data_rows:
         kind, col, idx, value = line.split(",")
         col, idx = int(col), int(idx)
+        if not 0 <= col < n:
+            raise ValueError(f"basis record column {col} is outside 0..{n - 1}")
         if kind == "k":
-            columns[col][0].append(idx)
-            columns[col][1].append(float(value))
+            cols.append(col)
+            rows.append(idx)
+            vals.append(float(value))
         elif kind == "p":
+            if not 0 <= idx < spec.poly_dim:
+                raise ValueError(f"harmonic index {idx} is outside 0..{spec.poly_dim - 1}")
             C[idx, col] = float(value)
         else:
             raise ValueError(f"unknown record kind {kind!r}")
-    default_m = 7.0 / math.log(10.0) ** 2
     rule = FootprintRule(
         mode=meta.get("mode", "count"),
-        M=float(meta.get("M", default_m)),
+        M=float(meta["M"]) if meta.get("M") else None,
         fixed_n=int(meta["fixed_n"]) if meta.get("fixed_n") else None,
     )
-    A = SparseMatrix.from_columns(n, columns)
-    per_center = np.diff(A.colptr)
-    return LocalBasis(
-        nodes=nodes, spec=spec, A_sparse=A, C=C, footprint=rule, per_center_n=per_center
-    )
+    # rows are range-checked, and must not repeat in a column, in validated_csc
+    cols, rows = np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
+    order = np.lexsort((rows, cols))
+    indptr = np.searchsorted(cols[order], np.arange(n + 1))
+    A = validated_csc((n, n), indptr, rows[order], np.array(vals)[order])
+    return LocalBasis(nodes, spec, A, C, rule)

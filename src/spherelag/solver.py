@@ -1,4 +1,4 @@
-"""Linear algebra: bordered (saddle) solves, CSC products, GMRES, eigen bounds."""
+"""Linear algebra: bordered (saddle) solves, checked CSC storage, GMRES, eigen bounds."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 PIVOT_RTOL = 1e-14
 
@@ -82,92 +83,32 @@ def factor_solve(system, rhs):
 
 # ---- compressed sparse column matrices ---- #
 
-@dataclass
-class SparseMatrix:
-    """CSC storage: rows strictly increasing within each column, no stored zeros."""
+def validated_csc(shape, indptr, indices, data):
+    """scipy csc_array from raw CSC arrays, rejecting all but canonical storage.
 
-    shape: tuple
-    colptr: np.ndarray
-    rowidx: np.ndarray
-    values: np.ndarray
-    _colidx: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        nrows, ncols = self.shape
-        self.colptr = np.asarray(self.colptr, dtype=np.int64)
-        self.rowidx = np.asarray(self.rowidx, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.colptr.shape != (ncols + 1,) or self.colptr[0] != 0:
-            raise ValueError("colptr must have length ncols+1 and start at 0")
-        if np.any(np.diff(self.colptr) < 0) or self.colptr[-1] != self.rowidx.size:
-            raise ValueError("colptr must be non-decreasing and end at nnz")
-        if self.rowidx.size != self.values.size:
-            raise ValueError("rowidx and values length mismatch")
-        if self.rowidx.size and (self.rowidx.min() < 0 or self.rowidx.max() >= nrows):
-            raise ValueError("row index out of range")
-        # strictly increasing rows within each column
-        if self.rowidx.size > 1:
-            interior = np.ones(self.rowidx.size, dtype=bool)
-            starts = self.colptr[1:-1]
-            interior[starts[starts < self.rowidx.size]] = False  # new column may restart
-            if np.any(np.diff(self.rowidx)[interior[1:]] <= 0):
-                raise ValueError("row indices must strictly increase within a column")
-        if np.any(self.values == 0.0):
-            raise ValueError("explicit zeros must not be stored")
-
-    @property
-    def nnz(self):
-        return int(self.values.size)
-
-    @classmethod
-    def from_columns(cls, nrows, columns):
-        """Build from per-column (row_indices, values) pairs; sorts and drops zeros."""
-        colptr = [0]
-        all_rows, all_vals = [], []
-        for rows, vals in columns:
-            rows = np.asarray(rows, dtype=np.int64)
-            vals = np.asarray(vals, dtype=np.float64)
-            order = np.argsort(rows, kind="stable")
-            rows, vals = rows[order], vals[order]
-            if np.any(np.diff(rows) == 0):
-                raise ValueError("duplicate row index within a column")
-            keep = vals != 0.0
-            all_rows.append(rows[keep])
-            all_vals.append(vals[keep])
-            colptr.append(colptr[-1] + int(keep.sum()))
-        return cls(
-            (nrows, len(colptr) - 1),
-            np.array(colptr, dtype=np.int64),
-            np.concatenate(all_rows) if all_rows else np.empty(0, dtype=np.int64),
-            np.concatenate(all_vals) if all_vals else np.empty(0),
-        )
-
-    def column(self, j):
-        """(row_indices, values) view of column j."""
-        lo, hi = self.colptr[j], self.colptr[j + 1]
-        return self.rowidx[lo:hi], self.values[lo:hi]
-
-    def to_dense(self):
-        out = np.zeros(self.shape)
-        ncols = self.shape[1]
-        for j in range(ncols):
-            rows, vals = self.column(j)
-            out[rows, j] = vals
-        return out
+    indptr must run from 0 to nnz without decreasing, rows must lie in range
+    and strictly increase within each column, and no zero may be stored.
+    """
+    indptr = np.asarray(indptr)
+    data = np.asarray(data, dtype=np.float64)
+    # checked before construction: check_format would silently drop entries past indptr[-1]
+    if indptr.size == 0 or indptr[-1] != data.size:
+        raise ValueError("indptr must end at nnz")
+    A = scipy.sparse.csc_array((data, indices, indptr), shape=shape)
+    A.check_format(full_check=True)  # lengths, indptr start and order, row range
+    if not A.has_canonical_format:
+        raise ValueError("row indices must strictly increase within a column")
+    if np.any(A.data == 0.0):
+        raise ValueError("explicit zeros must not be stored")
+    return A
 
 
 def spmv(matrix, v):
-    """Exact CSC matrix-vector product."""
+    """Sparse matrix-vector product with a length check."""
     v = np.asarray(v, dtype=np.float64)
-    nrows, ncols = matrix.shape
-    if v.shape != (ncols,):
-        raise ValueError(f"vector length {v.shape} does not match {ncols} columns")
-    if matrix._colidx is None:
-        matrix._colidx = np.repeat(
-            np.arange(ncols, dtype=np.int64), np.diff(matrix.colptr)
-        )
-    contrib = matrix.values * v[matrix._colidx]
-    return np.bincount(matrix.rowidx, weights=contrib, minlength=nrows)
+    if v.shape != (matrix.shape[1],):
+        raise ValueError(f"vector length {v.shape} does not match {matrix.shape[1]} columns")
+    return matrix @ v
 
 
 # ---- GMRES ---- #

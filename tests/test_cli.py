@@ -153,6 +153,47 @@ def test_eval_rejects_malformed_grid(node_file, basis_file, tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def solved_coeffs(tmp_path, n, m):
+    """(node file, coefficient file) from a gen, build and solve of n nodes at order m."""
+    nodes = tmp_path / f"fib{n}.txt"
+    basis = tmp_path / f"fib{n}_m{m}.npz"
+    coeffs = tmp_path / f"fib{n}_m{m}.csv"
+    assert main(["nodes", "gen", "--kind", "fibonacci", "--n", str(n), "--out", str(nodes)]) == 0
+    assert main(["build", "--nodes", str(nodes), "--m", str(m), "--out", str(basis)]) == 0
+    solve = ["solve", "--nodes", str(nodes), "--basis", str(basis), "--m", str(m)]
+    assert main(solve + ["--out", str(coeffs)]) == 0
+    return nodes, coeffs
+
+
+def assert_domain_error(argv, capsys, match):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert "Traceback" not in err
+
+
+def test_eval_rejects_coefficients_of_another_node_set(node_file, tmp_path, capsys):
+    _, coeffs = solved_coeffs(tmp_path, 200, 2)
+    argv = ["eval", "--nodes", str(node_file), "--coeffs", str(coeffs), "--at", str(node_file)]
+    assert_domain_error(argv, capsys, "N=200")
+
+
+def test_eval_rejects_coefficients_of_another_order(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 3)
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--m", "2", "--at", str(nodes)]
+    assert_domain_error(argv, capsys, "m=3")
+
+
+def test_eval_rejects_out_of_range_coefficient_indices(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    good = coeffs.read_text()
+    for record in ("a,200,1.0", "a,-1,1.0", "c,4,1.0", "c,-1,1.0"):
+        coeffs.write_text(good + record + "\n")
+        argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
+        assert_domain_error(argv, capsys, "outside")
+
+
 def test_solve_seed_controls_the_data(node_file, basis_file, tmp_path):
     out = tmp_path / "c.csv"
     main(["--seed", "7", "solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(out)])

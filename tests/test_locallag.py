@@ -24,12 +24,10 @@ from spherelag.solver import GmresNotConvergedError, factor_solve
 from helpers import fib, full_basis, local_basis, probes, rng, spec
 
 
-def dense_of(A):
-    out = np.zeros(A.shape)
-    for j in range(A.shape[1]):
-        rows, vals = A.column(j)
-        out[rows, j] = vals
-    return out
+def column(A, j):
+    """(row indices, values) of column j of a CSC array."""
+    col = slice(A.indptr[j], A.indptr[j + 1])
+    return A.indices[col], A.data[col]
 
 
 def test_default_footprint_reference_sizes():
@@ -66,10 +64,18 @@ def test_footprint_rule_count_modes():
     assert FootprintRule(M=1e-6).stencil_count(400, 3) == 10  # m^2 + 1 floor
 
 
+def test_default_rule_is_default_footprint():
+    for n in (900, 2562, 10242, 23042):
+        assert FootprintRule().stencil_count(n, 2) == default_footprint(n)
+    assert FootprintRule().stencil_count(20, 4) == default_footprint(20, m=4)
+    with pytest.raises(ValueError, match="needs M"):
+        FootprintRule(mode="radius")
+
+
 def test_columns_are_cardinal_on_their_footprints():
     basis = local_basis(300)
     for i in (0, 17, 150, 299):
-        rows, _ = basis.A_sparse.column(i)
+        rows, _ = column(basis.A_sparse, i)
         vals = eval_local_function(basis, i, basis.nodes.points[rows])
         want = (rows == i).astype(float)
         assert np.abs(vals - want).max() < 1e-8
@@ -78,7 +84,7 @@ def test_columns_are_cardinal_on_their_footprints():
 def test_cardinality_holds_for_higher_order_kernels():
     basis = build_local_basis(fib(150), spec(3))
     for i in (0, 75, 149):
-        rows, _ = basis.A_sparse.column(i)
+        rows, _ = column(basis.A_sparse, i)
         vals = eval_local_function(basis, i, basis.nodes.points[rows])
         assert np.abs(vals - (rows == i)).max() < 1e-8
 
@@ -86,22 +92,22 @@ def test_cardinality_holds_for_higher_order_kernels():
 def test_per_center_counts_match_storage():
     basis = local_basis(300)
     n_sten = basis.footprint.stencil_count(300, 2)
-    assert np.all(basis.per_center_n == n_sten)
-    assert basis.A_sparse.values.size == basis.per_center_n.sum()
-    assert np.array_equal(np.diff(basis.A_sparse.colptr), basis.per_center_n)
+    per_center_n = np.diff(basis.A_sparse.indptr)
+    assert np.all(per_center_n == n_sten)
+    assert basis.A_sparse.data.size == per_center_n.sum() == basis.A_sparse.nnz
 
 
 def test_full_footprint_reproduces_dense_basis():
     lb = local_basis(200, fixed_n=200)
     fb = full_basis(200)
-    assert np.abs(dense_of(lb.A_sparse) - fb.A).max() < 1e-8
+    assert np.abs(lb.A_sparse.toarray() - fb.A).max() < 1e-8
     assert np.abs(lb.C - fb.C).max() < 1e-8
 
 
 def test_eval_local_function_matches_manual_expansion():
     basis = local_basis(300)
     i = 42
-    rows, vals = basis.A_sparse.column(i)
+    rows, vals = column(basis.A_sparse, i)
     pts = probes(50)
     manual = np.zeros(50)
     for r, v in zip(rows, vals):
@@ -139,7 +145,7 @@ def test_grow_on_failure_recovers_from_clustered_rings():
         build_local_basis(ns, spec(2))
     basis = build_local_basis(ns, spec(2), grow_on_failure=True)
     for i in (0, 15):
-        rows, _ = basis.A_sparse.column(i)
+        rows, _ = column(basis.A_sparse, i)
         vals = eval_local_function(basis, i, ns.points[rows])
         assert np.abs(vals - (rows == i)).max() < 1e-8
 
@@ -148,18 +154,19 @@ def test_threaded_build_matches_serial():
     rule = FootprintRule(fixed_n=30)
     a = build_local_basis(fib(150), spec(2), rule, threads=1)
     b = build_local_basis(fib(150), spec(2), rule, threads=2)
-    assert np.array_equal(a.A_sparse.values, b.A_sparse.values)
-    assert np.array_equal(a.A_sparse.rowidx, b.A_sparse.rowidx)
+    assert np.array_equal(a.A_sparse.data, b.A_sparse.data)
+    assert np.array_equal(a.A_sparse.indices, b.A_sparse.indices)
     assert np.array_equal(a.C, b.C)
 
 
 def test_radius_mode_builds_variable_stencils():
     ns = fib(200)
     basis = build_local_basis(ns, spec(2), FootprintRule(mode="radius", M=2.0))
-    assert basis.per_center_n.min() >= 5
-    assert basis.per_center_n.std() > 0  # geodesic balls vary in count
-    i = int(basis.per_center_n.argmin())
-    rows, _ = basis.A_sparse.column(i)
+    per_center_n = np.diff(basis.A_sparse.indptr)
+    assert per_center_n.min() >= 5
+    assert per_center_n.std() > 0  # geodesic balls vary in count
+    i = int(per_center_n.argmin())
+    rows, _ = column(basis.A_sparse, i)
     vals = eval_local_function(basis, i, ns.points[rows])
     assert np.abs(vals - (rows == i)).max() < 1e-8
 
@@ -194,8 +201,6 @@ def test_quasi_interpolant_blocking_invariance():
 
 def test_quasi_interpolate_validation():
     basis = local_basis(150)
-    with pytest.raises(ValueError, match="exact"):
-        quasi_interpolate(basis, np.zeros(150), exact=False)
     with pytest.raises(ValueError, match="length"):
         quasi_interpolate(basis, np.zeros(151))
 
@@ -270,12 +275,40 @@ def test_npz_round_trip(tmp_path):
     path = tmp_path / "basis.npz"
     save_basis(path, basis)
     back = load_basis(path, basis.nodes, basis.spec)
-    assert np.array_equal(back.A_sparse.colptr, basis.A_sparse.colptr)
-    assert np.array_equal(back.A_sparse.rowidx, basis.A_sparse.rowidx)
-    assert np.array_equal(back.A_sparse.values, basis.A_sparse.values)
+    assert np.array_equal(back.A_sparse.indptr, basis.A_sparse.indptr)
+    assert np.array_equal(back.A_sparse.indices, basis.A_sparse.indices)
+    assert np.array_equal(back.A_sparse.data, basis.A_sparse.data)
     assert np.array_equal(back.C, basis.C)
-    assert np.array_equal(back.per_center_n, basis.per_center_n)
-    assert back.footprint == basis.footprint
+    assert back.footprint == basis.footprint == FootprintRule()
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(
+            ["colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n"]
+        )
+
+
+def test_npz_in_the_earlier_layout_loads(tmp_path):
+    # earlier files also hold per_center_n, and M is always a number
+    basis = local_basis(150)
+    A = basis.A_sparse
+    path = tmp_path / "old.npz"
+    old_rule = FootprintRule(M=7.0 / np.log(10.0) ** 2, fixed_n=default_footprint(150))
+    np.savez(
+        path,
+        colptr=A.indptr,
+        rowidx=A.indices,
+        values=A.data,
+        C=basis.C,
+        per_center_n=np.diff(A.indptr),
+        m=np.array([2]),
+        n_nodes=np.array([150]),
+        mode=np.array(["count"]),
+        M=np.array([old_rule.M]),
+        fixed_n=np.array([old_rule.fixed_n]),
+    )
+    back = load_basis(path, basis.nodes, basis.spec)
+    assert np.array_equal(back.A_sparse.toarray(), A.toarray())
+    assert np.array_equal(back.C, basis.C)
+    assert back.footprint == old_rule
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -284,12 +317,53 @@ def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "basis.csv"
     save_basis(path, basis, fmt="csv")
     back = load_basis(path, basis.nodes, basis.spec)
-    assert np.array_equal(back.A_sparse.values, basis.A_sparse.values)
-    assert np.array_equal(back.A_sparse.rowidx, basis.A_sparse.rowidx)
+    assert np.array_equal(back.A_sparse.data, basis.A_sparse.data)
+    assert np.array_equal(back.A_sparse.indices, basis.A_sparse.indices)
+    assert np.array_equal(back.A_sparse.indptr, basis.A_sparse.indptr)
     assert np.array_equal(back.C, basis.C)
     assert back.footprint == basis.footprint
     header = path.read_text().splitlines()[0]
     assert header == "# spherelag local basis, format csv"
+
+
+def test_csv_records_load_in_any_order(tmp_path):
+    basis = build_local_basis(fib(80), spec(2))
+    path = tmp_path / "basis.csv"
+    save_basis(path, basis, fmt="csv")
+    lines = path.read_text().splitlines()
+    body = lines[3:]
+    rng(4).shuffle(body)
+    path.write_text("\n".join(lines[:3] + body) + "\n")
+    back = load_basis(path, basis.nodes, basis.spec)
+    assert np.array_equal(back.A_sparse.toarray(), basis.A_sparse.toarray())
+    assert np.array_equal(back.C, basis.C)
+    assert back.footprint == basis.footprint == FootprintRule()
+
+
+def csv_with_record(tmp_path, record):
+    """A csv basis file for fib(80) with one extra data line appended."""
+    path = tmp_path / "basis.csv"
+    save_basis(path, build_local_basis(fib(80), spec(2)), fmt="csv")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(record + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "record, match",
+    [
+        ("p,5,-1,2.5", "harmonic index -1"),
+        ("k,-1,0,1.5", "column -1"),
+        ("k,80,0,1.5", "column 80"),
+        ("k,3,80,1.5", "indices"),  # row past the node count
+        ("k,3,-1,1.5", "indices"),  # negative row
+        ("k,3,3,1.5", "increase"),  # row 3 is already in column 3
+    ],
+)
+def test_csv_rejects_bad_records(tmp_path, record, match):
+    path = csv_with_record(tmp_path, record)
+    with pytest.raises(ValueError, match=match):
+        load_basis(path, fib(80), spec(2))
 
 
 def test_save_basis_rejects_unknown_format(tmp_path):

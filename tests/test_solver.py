@@ -1,4 +1,4 @@
-"""Saddle solves, CSC storage, GMRES, and eigenvalue bounds."""
+"""Saddle solves, checked CSC storage, GMRES, and eigenvalue bounds."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,11 @@ from spherelag.solver import (
     GmresNotConvergedError,
     SaddleSystem,
     SingularSystemError,
-    SparseMatrix,
     factor_solve,
     gmres,
     spmv,
     sym_eig_minmax,
+    validated_csc,
 )
 
 from helpers import rng
@@ -99,6 +99,22 @@ def test_saddle_validates_shapes():
 
 # ---- sparse matrices ---- #
 
+def random_columns(g, nrows, ncols, max_k):
+    """Per-column (sorted distinct rows, nonzero values) pairs."""
+    columns = []
+    for _ in range(ncols):
+        rows = np.sort(g.choice(nrows, size=int(g.integers(0, max_k)), replace=False))
+        columns.append((rows, g.normal(size=rows.size)))
+    return columns
+
+
+def csc_of(nrows, columns):
+    indptr = np.concatenate([[0], np.cumsum([rows.size for rows, _ in columns])])
+    rows = np.concatenate([r for r, _ in columns])
+    vals = np.concatenate([v for _, v in columns])
+    return validated_csc((nrows, len(columns)), indptr, rows, vals)
+
+
 def scatter_dense(nrows, columns):
     out = np.zeros((nrows, len(columns)))
     for j, (rows, vals) in enumerate(columns):
@@ -107,55 +123,39 @@ def scatter_dense(nrows, columns):
     return out
 
 
-def test_from_columns_matches_dense_scatter():
-    g = rng(7)
-    columns = []
-    for _ in range(12):
-        k = int(g.integers(0, 9))
-        rows = g.choice(20, size=k, replace=False)
-        columns.append((rows, g.normal(size=k)))
-    mat = SparseMatrix.from_columns(20, columns)
-    assert np.allclose(mat.to_dense(), scatter_dense(20, columns), atol=0.0)
+def test_validated_csc_matches_dense_scatter():
+    columns = random_columns(rng(7), 20, 12, 9)
+    mat = csc_of(20, columns)
+    assert np.array_equal(mat.toarray(), scatter_dense(20, columns))
     assert mat.nnz == sum(len(r) for r, _ in columns)
 
 
-def test_from_columns_sorts_rows_and_drops_zeros():
-    mat = SparseMatrix.from_columns(6, [([5, 1, 3], [1.0, 0.0, 2.0]), ([], [])])
-    assert mat.nnz == 2
-    rows, vals = mat.column(0)
-    assert np.array_equal(rows, [3, 5])
-    assert np.array_equal(vals, [2.0, 1.0])
-    rows, vals = mat.column(1)
-    assert rows.size == 0 and vals.size == 0
-
-
-def test_from_columns_rejects_duplicate_rows():
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseMatrix.from_columns(5, [([2, 2], [1.0, 3.0])])
-
-
 def test_storage_validation():
-    with pytest.raises(ValueError):  # colptr not ending at nnz
-        SparseMatrix((3, 2), [0, 1, 3], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError):  # indptr not ending at nnz
+        validated_csc((3, 2), [0, 1, 3], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError):  # indptr ending short of nnz
+        validated_csc((3, 2), [0, 1, 1], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError):  # indptr of the wrong length
+        validated_csc((3, 2), [0, 1], [0], [1.0])
     with pytest.raises(ValueError):  # row out of range
-        SparseMatrix((3, 1), [0, 1], [5], [1.0])
-    with pytest.raises(ValueError):  # rows must increase within a column
-        SparseMatrix((4, 1), [0, 2], [2, 1], [1.0, 2.0])
-    with pytest.raises(ValueError):  # explicit zero
-        SparseMatrix((4, 1), [0, 1], [2], [0.0])
+        validated_csc((3, 1), [0, 1], [5], [1.0])
+    with pytest.raises(ValueError):  # negative row
+        validated_csc((3, 1), [0, 1], [-1], [1.0])
+    with pytest.raises(ValueError, match="increase"):  # unsorted rows
+        validated_csc((4, 1), [0, 2], [2, 1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="increase"):  # duplicate rows
+        validated_csc((5, 1), [0, 2], [2, 2], [1.0, 3.0])
+    with pytest.raises(ValueError, match="zero"):  # explicit zero
+        validated_csc((4, 1), [0, 1], [2], [0.0])
     # trailing empty columns are fine
-    mat = SparseMatrix((4, 3), [0, 2, 2, 2], [1, 3], [5.0, 6.0])
+    mat = validated_csc((4, 3), [0, 2, 2, 2], [1, 3], [5.0, 6.0])
     assert mat.nnz == 2
 
 
 def test_spmv_matches_dense_product():
-    g = rng(8)
-    columns = [
-        (g.choice(30, size=int(g.integers(1, 12)), replace=False), None) for _ in range(25)
-    ]
-    columns = [(rows, g.normal(size=len(rows))) for rows, _ in columns]
-    mat = SparseMatrix.from_columns(30, columns)
-    dense = mat.to_dense()
+    columns = random_columns(rng(8), 30, 25, 12)
+    mat = csc_of(30, columns)
+    dense = scatter_dense(30, columns)
     for seed in range(3):
         v = rng(100 + seed).normal(size=25)
         assert np.allclose(spmv(mat, v), dense @ v, atol=1e-13)
