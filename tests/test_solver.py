@@ -130,6 +130,12 @@ def test_validated_csc_matches_dense_scatter():
     assert mat.nnz == sum(len(r) for r, _ in columns)
 
 
+def test_from_columns_rejects_duplicate_rows():
+    # A repeated row in one column is rejected, not summed.
+    with pytest.raises(ValueError, match="increase"):
+        validated_csc((5, 1), [0, 2], [2, 2], [1.0, 3.0])
+
+
 def test_storage_validation():
     with pytest.raises(ValueError):  # indptr not ending at nnz
         validated_csc((3, 2), [0, 1, 3], [0, 1], [1.0, 2.0])
@@ -143,8 +149,6 @@ def test_storage_validation():
         validated_csc((3, 1), [0, 1], [-1], [1.0])
     with pytest.raises(ValueError, match="increase"):  # unsorted rows
         validated_csc((4, 1), [0, 2], [2, 1], [1.0, 2.0])
-    with pytest.raises(ValueError, match="increase"):  # duplicate rows
-        validated_csc((5, 1), [0, 2], [2, 2], [1.0, 3.0])
     with pytest.raises(ValueError, match="zero"):  # explicit zero
         validated_csc((4, 1), [0, 1], [2], [0.0])
     # trailing empty columns are fine
