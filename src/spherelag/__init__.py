@@ -26,6 +26,7 @@ from .kernel import (
     evaluate_expansion,
     harmonic_basis_for,
     kernel_matrix,
+    kernel_sum,
 )
 from .solver import (
     GmresNotConvergedError,

@@ -124,8 +124,12 @@ def _save_coeffs(path, a, c, config, spec, n):
 
 
 def _load_coeffs(path, n, spec):
-    """Inverse of _save_coeffs; the N= m= line must match the nodes and --m."""
+    """Inverse of _save_coeffs; the N= m= line must match the nodes and --m.
+
+    Every a index 0..N-1 and c index 0..m^2-1 must appear exactly once.
+    """
     coeffs = {"a": np.zeros(n), "c": np.zeros(spec.poly_dim)}
+    seen = {kind: np.zeros(target.size, dtype=bool) for kind, target in coeffs.items()}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -144,7 +148,17 @@ def _load_coeffs(path, n, spec):
             idx, target = int(idx), coeffs[kind]
             if not 0 <= idx < target.size:
                 raise ValueError(f"{path}: {kind} index {idx} is outside 0..{target.size - 1}")
+            if seen[kind][idx]:
+                raise ValueError(f"{path}: {kind} index {idx} appears twice")
+            seen[kind][idx] = True
             target[idx] = float(value)
+    for kind, got in seen.items():
+        missing = np.flatnonzero(~got)
+        if missing.size:
+            raise ValueError(
+                f"{path}: {missing.size} {kind} coefficients are missing "
+                f"(first index {missing[0]})"
+            )
     return coeffs["a"], coeffs["c"]
 
 

@@ -43,35 +43,126 @@ def _kernel_sup_norm(m):
     return max(interior, 2.0 ** (m - 1) * math.log(2.0))
 
 
+def _kernel_inplace(spec, t):
+    """Turn a C-contiguous float64 array of dot products into k_m values in place.
+
+    Clips to [-1, 1], takes s = 1 - t, masks s < SURFACE_CUTOFF, then forms
+    sign * s^(m-1) * log(s). Allocates one temporary of t's size (the
+    logarithm) plus a boolean mask, and rounds exactly as the unfused formula.
+    """
+    np.clip(t, -1.0, 1.0, out=t)
+    np.subtract(1.0, t, out=t)
+    near = t < SURFACE_CUTOFF
+    np.copyto(t, 1.0, where=near)
+    logs = np.log(t)
+    if spec.m > 2:
+        np.power(t, spec.m - 1, out=t)
+    np.multiply(t, logs, out=t)
+    if spec.m % 2:
+        np.negative(t, out=t)
+    np.copyto(t, 0.0, where=near)
+    return t
+
+
 def kernel_values(spec, t):
-    """k_m as a function of the dot product t = x.a, elementwise."""
-    t = np.asarray(t, dtype=np.float64)
-    s = np.maximum(1.0 - t, 0.0)
-    near = s < SURFACE_CUTOFF
-    s_safe = np.where(near, 1.0, s)
-    sign = 1.0 if spec.m % 2 == 0 else -1.0
-    vals = sign * s_safe ** (spec.m - 1) * np.log(s_safe)
-    return np.where(near, 0.0, vals)
+    """k_m as a function of the dot product t = x.a, elementwise; t is clipped to [-1, 1]."""
+    return _kernel_inplace(spec, np.array(t, dtype=np.float64))
 
 
 def eval_kernel(spec, a, b):
     """k_m(a, b) for unit vectors, broadcasting over leading axes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    t = np.clip(np.einsum("...i,...i->...", a, b), -1.0, 1.0)
-    return kernel_values(spec, t)
+    return kernel_values(spec, np.einsum("...i,...i->...", a, b))
+
+
+# Side of the square blocks that kernel_matrix and kernel_sum work in. A tile
+# and its logarithm temporary take 2 x 512 KiB, which stays in cache while
+# the transform runs; larger row blocks are bound by memory bandwidth.
+KERNEL_TILE = 256
+
+
+def _tile(spec, pts_i, pts_j=None):
+    """Kernel block between two point blocks; pts_j None is a diagonal block."""
+    if pts_j is None:
+        t = pts_i @ pts_i.T
+        t += t.T  # force bitwise symmetry before the nonlinearity
+        t *= 0.5
+    else:
+        t = pts_i @ pts_j.T
+    return _kernel_inplace(spec, t)
+
+
+def _spans(n):
+    """Index ranges of the tiles along one axis of length n.
+
+    A one-point remainder joins the span before it: a single row or column
+    makes BLAS use gemv, whose rounding differs from the gemm that forms the
+    other tiles.
+    """
+    starts = list(range(0, n, KERNEL_TILE))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _upper_tiles(spec, pts):
+    """Yield (rows, cols, K[rows, cols]) for the tiles on and above the diagonal."""
+    spans = _spans(pts.shape[0])
+    for a, rows in enumerate(spans):
+        yield rows, rows, _tile(spec, pts[rows])
+        for cols in spans[a + 1 :]:
+            yield rows, cols, _tile(spec, pts[rows], pts[cols])
 
 
 def kernel_matrix(spec, pts_a, pts_b=None):
-    """Kernel block k_m(pts_a[i], pts_b[j]); exactly symmetric when pts_b is None."""
+    """Kernel block k_m(pts_a[i], pts_b[j]); exactly symmetric when pts_b is None.
+
+    The symmetric matrix is filled from its upper-triangle tiles, each mirrored,
+    so the peak memory is the matrix plus one tile. Up to one tile it is
+    computed straight into the returned array.
+    """
     pts_a = np.asarray(pts_a, dtype=np.float64)
-    if pts_b is None:
-        t = pts_a @ pts_a.T
-        t = 0.5 * (t + t.T)  # force bitwise symmetry before the nonlinearity
-    else:
-        t = pts_a @ np.asarray(pts_b, dtype=np.float64).T
-    np.clip(t, -1.0, 1.0, out=t)
-    return kernel_values(spec, t)
+    if pts_b is not None:
+        return _tile(spec, pts_a, np.asarray(pts_b, dtype=np.float64))
+    n = pts_a.shape[0]
+    if n <= KERNEL_TILE:
+        return _tile(spec, pts_a)
+    K = np.empty((n, n))
+    for rows, cols, k in _upper_tiles(spec, pts_a):
+        K[rows, cols] = k
+        if rows != cols:
+            K[cols, rows] = k.T
+    return K
+
+
+def kernel_sum(spec, targets, sources, weights):
+    """sum_j k_m(targets[i], sources[j]) weights[j] for every target i.
+
+    weights is (N,) or (N, q) for N sources. The sum runs over KERNEL_TILE
+    square tiles, so the memory beyond the output is one tile. When targets is
+    sources the kernel matrix is symmetric: only the upper-triangle tiles are
+    evaluated, each applied as K_ij and K_ij^T, which halves the logarithms.
+    """
+    symmetric = targets is sources
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[0] != sources.shape[0]:
+        raise ValueError(f"weights of shape {w.shape} do not match {sources.shape[0]} sources")
+    out = np.zeros((targets.shape[0],) + w.shape[1:])
+    if symmetric:
+        for rows, cols, k in _upper_tiles(spec, targets):
+            out[rows] += k @ w[cols]
+            if rows != cols:
+                out[cols] += k.T @ w[rows]
+        return out
+    source_spans = _spans(sources.shape[0])
+    for rows in _spans(targets.shape[0]):
+        acc = out[rows]
+        for cols in source_spans:
+            acc += _tile(spec, targets[rows], sources[cols]) @ w[cols]
+    return out
 
 
 # ---- real spherical harmonics ---- #
@@ -170,8 +261,9 @@ def evaluate_expansion(spec, centers, a, c, points, block_size=4096):
     """Evaluate sum_j a_j k(x, centers_j) + sum_k c_k phi_k(x) at many points.
 
     a is (N,) or (N, q) for q expansions sharing centers; c is (p,) or (p, q)
-    with p a square (fixes the harmonic degree). Work proceeds in point blocks
-    so the (P, N) kernel matrix is never fully materialized.
+    with p a square (fixes the harmonic degree). The kernel part is a tiled
+    kernel_sum per block of block_size points, so the (P, N) kernel matrix is
+    never materialized.
     """
     centers = np.asarray(centers, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -190,6 +282,6 @@ def evaluate_expansion(spec, centers, a, c, points, block_size=4096):
     out = np.empty(out_shape)
     for lo in range(0, pts.shape[0], block_size):
         blk = pts[lo : lo + block_size]
-        out[lo : lo + block_size] = kernel_matrix(spec, blk, centers) @ a
+        out[lo : lo + block_size] = kernel_sum(spec, blk, centers, a)
         out[lo : lo + block_size] += basis.eval(blk) @ c
     return out[0] if single else out

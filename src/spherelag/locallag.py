@@ -26,7 +26,7 @@ from .kernel import (
     evaluate_expansion,
     harmonic_basis_for,
     kernel_matrix,
-    kernel_values,
+    kernel_sum,
 )
 from .solver import SingularSystemError, factor_solve, gmres, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
@@ -35,8 +35,9 @@ from .neighbors import ball, build_index, knn, knn_all
 MAX_NODES = 200_000
 
 # Largest N for which the dense kernel matrix is materialized (once) instead of
-# recomputed row-block by row-block inside every matvec. 12000^2 doubles is
-# about 1.1 GB, a safe fit here; beyond that the matrix never exists in full.
+# recomputed tile by tile inside every matvec. Materializing peaks at the
+# matrix plus one kernel tile, 8 N^2 bytes or about 1.1 GB at 12000, a safe
+# fit here; beyond that the matrix never exists in full.
 MATERIALIZE_LIMIT = 12_000
 
 
@@ -236,8 +237,8 @@ def quasi_interpolate(basis, f_values):
 class KernelMatvec:
     """v -> K v for the full kernel matrix, materialized only when N is small.
 
-    Above `materialize_limit` the product is accumulated over row blocks with
-    kernel entries recomputed on the fly, so memory stays at one block.
+    Above `materialize_limit` each product is a symmetric kernel_sum, which
+    recomputes the upper-triangle tiles and keeps memory at one tile.
     """
 
     def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
@@ -245,21 +246,12 @@ class KernelMatvec:
         self.points = np.asarray(points, dtype=np.float64)
         n = self.points.shape[0]
         self.matrix = kernel_matrix(spec, self.points) if n <= materialize_limit else None
-        # about 1.5e7 kernel entries per block keeps the working set near 120 MB
-        self.block_rows = max(1, int(1.5e7 / max(n, 1)))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=np.float64)
         if self.matrix is not None:
             return self.matrix @ v
-        pts = self.points
-        n = pts.shape[0]
-        out = np.empty(n)
-        for lo in range(0, n, self.block_rows):
-            t = pts[lo : lo + self.block_rows] @ pts.T
-            np.clip(t, -1.0, 1.0, out=t)
-            out[lo : lo + self.block_rows] = kernel_values(self.spec, t) @ v
-        return out
+        return kernel_sum(self.spec, self.points, self.points, v)
 
 
 def interpolate_preconditioned(
@@ -285,7 +277,7 @@ def interpolate_preconditioned(
     n = len(nodes)
     if f.shape != (n,):
         raise ValueError("data length does not match the node set")
-    if basis.nodes is not nodes and len(basis.nodes) != n:
+    if basis.nodes is not nodes and not np.array_equal(basis.nodes.points, nodes.points):
         raise ValueError("basis was built for a different node set")
     if x0 not in ("data", "zero"):
         raise ValueError("x0 must be 'data' or 'zero'")
@@ -348,7 +340,11 @@ def save_basis(path, basis, fmt="npz"):
 
 
 def load_basis(path, nodes, spec):
-    """Inverse of save_basis; validates set size, kernel order and every index."""
+    """Inverse of save_basis; validates set size, kernel order and every index.
+
+    A csv file must give every column kernel records and each of its m^2
+    harmonic records exactly once.
+    """
     n = len(nodes)
     if not str(path).endswith(".csv"):
         with np.load(path, allow_pickle=False) as data:
@@ -389,6 +385,7 @@ def load_basis(path, nodes, spec):
         raise ValueError("basis was saved for a different kernel order")
     cols, rows, vals = [], [], []
     C = np.zeros((spec.poly_dim, n))
+    have_c = np.zeros(C.shape, dtype=bool)
     for line in data_rows:
         kind, col, idx, value = line.split(",")
         col, idx = int(col), int(idx)
@@ -401,6 +398,9 @@ def load_basis(path, nodes, spec):
         elif kind == "p":
             if not 0 <= idx < spec.poly_dim:
                 raise ValueError(f"harmonic index {idx} is outside 0..{spec.poly_dim - 1}")
+            if have_c[idx, col]:
+                raise ValueError(f"harmonic record ({col}, {idx}) appears twice")
+            have_c[idx, col] = True
             C[idx, col] = float(value)
         else:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -411,6 +411,15 @@ def load_basis(path, nodes, spec):
     )
     # rows are range-checked, and must not repeat in a column, in validated_csc
     cols, rows = np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
+    empty = np.flatnonzero(np.bincount(cols, minlength=n) == 0)
+    if empty.size:
+        raise ValueError(f"basis column {empty[0]} has no kernel records ({empty.size} columns)")
+    short = np.flatnonzero(~have_c.all(axis=0))
+    if short.size:
+        raise ValueError(
+            f"basis column {short[0]} lacks some of its {spec.poly_dim} harmonic records "
+            f"({short.size} columns)"
+        )
     order = np.lexsort((rows, cols))
     indptr = np.searchsorted(cols[order], np.arange(n + 1))
     A = validated_csc((n, n), indptr, rows[order], np.array(vals)[order])

@@ -194,6 +194,16 @@ def test_eval_rejects_out_of_range_coefficient_indices(tmp_path, capsys):
         assert_domain_error(argv, capsys, "outside")
 
 
+def test_eval_rejects_incomplete_coefficient_files(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    lines = coeffs.read_text().splitlines(keepends=True)
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
+    coeffs.write_text("".join(lines[:-50]))  # 46 a rows and all 4 c rows gone
+    assert_domain_error(argv, capsys, "missing")
+    coeffs.write_text("".join(lines) + "a,7,1.0\n")
+    assert_domain_error(argv, capsys, "twice")
+
+
 def test_solve_seed_controls_the_data(node_file, basis_file, tmp_path):
     out = tmp_path / "c.csv"
     main(["--seed", "7", "solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(out)])

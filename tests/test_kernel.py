@@ -1,6 +1,7 @@
 """Kernel evaluation, real spherical harmonics, saddle assembly, expansions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spherelag.kernel import (
     evaluate_expansion,
     harmonic_basis_for,
     kernel_matrix,
+    kernel_sum,
     kernel_values,
 )
 from spherelag.solver import factor_solve
@@ -99,6 +101,75 @@ def test_kernel_matrix_cross_block_matches_loop():
     for i in range(12):
         for j in range(9):
             assert K[i, j] == pytest.approx(float(eval_kernel(spec(3), a[i], b[j])), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [257, 600])
+def test_kernel_matrix_tiles_match_the_unblocked_formula(n):
+    # 257 leaves a one-point remainder past the first tile
+    pts = random_unit_points(n, seed=6)
+    t = pts @ pts.T
+    for m in (2, 3):
+        K = kernel_matrix(spec(m), pts)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, kernel_values(spec(m), np.clip(0.5 * (t + t.T), -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 515])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_kernel_sum_matches_the_dense_product(n, m):
+    pts = random_unit_points(n, seed=n)
+    targets = random_unit_points(300, seed=n + 1)
+    K = kernel_matrix(spec(m), pts)
+    K_cross = kernel_matrix(spec(m), targets, pts)
+    for w in (rng(m).normal(size=n), rng(m).normal(size=(n, 3))):
+        sym = kernel_sum(spec(m), pts, pts, w)
+        cross = kernel_sum(spec(m), targets, pts, w)
+        assert sym.shape == w.shape and cross.shape == (300,) + w.shape[1:]
+        assert np.abs(sym - K @ w).max() <= 1e-12 * np.abs(K @ w).max()
+        assert np.abs(cross - K_cross @ w).max() <= 1e-12 * np.abs(K_cross @ w).max()
+        # an equal copy takes the cross path, which must agree as well
+        assert np.abs(kernel_sum(spec(m), pts, pts.copy(), w) - sym).max() <= 1e-12 * np.abs(sym).max()
+
+
+def test_duplicates_across_a_tile_boundary_give_zero():
+    pts = random_unit_points(300, seed=7)
+    pts[256] = pts[255]  # last row of the first tile, first row of the second
+    K = kernel_matrix(spec(2), pts)
+    assert K[255, 256] == 0.0 and K[256, 255] == 0.0
+    w = np.zeros(300)
+    w[256] = 1.0
+    assert kernel_sum(spec(2), pts, pts, w)[255] == 0.0
+    assert kernel_sum(spec(2), pts[255:256], pts, w)[0] == 0.0
+
+
+def test_kernel_sum_rejects_mismatched_weights():
+    pts = random_unit_points(20, seed=8)
+    for w in (np.ones(19), np.ones((20, 2, 2))):
+        with pytest.raises(ValueError, match="weights"):
+            kernel_sum(spec(2), pts, pts, w)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_matrix_memory_is_the_matrix_plus_one_tile():
+    n = 3000
+    pts = random_unit_points(n, seed=9)
+    assert traced_peak(lambda: kernel_matrix(spec(2), pts)) <= 1.25 * 8 * n * n
+
+
+def test_matrix_free_matvec_memory_is_one_tile():
+    pts = random_unit_points(3000, seed=10)
+    v = rng(10).normal(size=3000)
+    kmv = sl.KernelMatvec(spec(2), pts, materialize_limit=0)
+    assert traced_peak(lambda: kmv(v)) < 16 * 2**20
 
 
 @pytest.mark.parametrize("m", [2, 3])

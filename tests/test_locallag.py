@@ -253,6 +253,12 @@ def test_preconditioned_solve_validation():
         interpolate_preconditioned(ns, spec(2), basis, np.zeros(7))
     with pytest.raises(ValueError, match="node set"):
         interpolate_preconditioned(fib(150), spec(2), basis, np.zeros(150))
+    mirrored = sl.NodeSet(-ns.points)  # same size, other points
+    with pytest.raises(ValueError, match="node set"):
+        interpolate_preconditioned(mirrored, spec(2), basis, np.zeros(200))
+    # an equal copy of the node set is accepted
+    copy = sl.NodeSet(ns.points.copy())
+    interpolate_preconditioned(copy, spec(2), basis, ns.points[:, 2])
     with pytest.raises(ValueError, match="x0"):
         interpolate_preconditioned(ns, spec(2), basis, np.zeros(200), x0="guess")
 
@@ -364,6 +370,22 @@ def test_csv_rejects_bad_records(tmp_path, record, match):
     path = csv_with_record(tmp_path, record)
     with pytest.raises(ValueError, match=match):
         load_basis(path, fib(80), spec(2))
+
+
+def test_csv_rejects_incomplete_columns(tmp_path):
+    path = tmp_path / "basis.csv"
+    save_basis(path, local_basis(200), fmt="csv")
+    lines = path.read_text().splitlines(keepends=True)
+    p_7_2 = next(line for line in lines if line.startswith("p,7,2,"))
+    cases = {
+        "no kernel records": [line for line in lines if not line.startswith("k,199,")],
+        "harmonic records": [line for line in lines if line != p_7_2],
+        "twice": lines + [p_7_2],
+    }
+    for match, kept in cases.items():
+        path.write_text("".join(kept))
+        with pytest.raises(ValueError, match=match):
+            load_basis(path, fib(200), spec(2))
 
 
 def test_save_basis_rejects_unknown_format(tmp_path):
