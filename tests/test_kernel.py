@@ -133,11 +133,11 @@ def test_kernel_sum_matches_the_dense_product(n, m):
 
 
 def test_duplicates_across_a_tile_boundary_give_zero():
-    pts = random_unit_points(300, seed=7)
+    pts = random_unit_points(600, seed=7)
     pts[256] = pts[255]  # last row of the first tile, first row of the second
     K = kernel_matrix(spec(2), pts)
     assert K[255, 256] == 0.0 and K[256, 255] == 0.0
-    w = np.zeros(300)
+    w = np.zeros(600)
     w[256] = 1.0
     assert kernel_sum(spec(2), pts, pts, w)[255] == 0.0
     assert kernel_sum(spec(2), pts[255:256], pts, w)[0] == 0.0
