@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import shlex
 import sys
 from dataclasses import dataclass
@@ -75,7 +74,6 @@ class RunConfig:
 
     argv: list
     seed: int
-    threads: int
     version: str = __version__
 
     def comment_lines(self):
@@ -206,9 +204,7 @@ def cmd_build(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
     rule = _footprint_from_args(args)
-    basis = build_local_basis(
-        nodes, spec, rule, grow_on_failure=args.grow_on_failure, threads=config.threads
-    )
+    basis = build_local_basis(nodes, spec, rule, grow_on_failure=args.grow_on_failure)
     save_basis(args.out, basis, fmt=args.format)
     return 0
 
@@ -436,12 +432,6 @@ def build_parser():
         description="Sparse local Lagrange bases for surface-spline interpolation on the sphere.",
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for parallel sections (default SPHERELAG_THREADS or all cores)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     nodes = sub.add_parser("nodes", help="generate node sets and report mesh statistics")
@@ -517,11 +507,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("SPHERELAG_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    config = RunConfig(argv=argv, seed=args.seed, threads=threads)
+    config = RunConfig(argv=argv, seed=args.seed)
     try:
         return args.func(args, config)
     except DOMAIN_ERRORS as exc:

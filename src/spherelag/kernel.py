@@ -83,7 +83,8 @@ KERNEL_TILE = 256
 
 
 def _symmetrized(t):
-    t += t.T  # force bitwise symmetry before the nonlinearity
+    """Symmetrize a matrix, or each matrix of a stack, in place."""
+    t += np.swapaxes(t, -1, -2)  # force bitwise symmetry before the nonlinearity
     t *= 0.5
     return t
 
@@ -249,6 +250,26 @@ def assemble_saddle(spec, nodes, subset=None):
     M[:n, n:] = Phi
     M[n:, :n] = Phi.T
     return SaddleSystem(n=n, p=p, matrix=M)
+
+
+def assemble_saddle_stack(spec, points, phi, stencils):
+    """Bordered matrices of a (b, n) stack of stencils into points, shape (b, n+p, n+p).
+
+    phi holds the harmonic values at every point. One batched product, one
+    symmetrization and one kernel transform serve the whole stack: the
+    operations of kernel_matrix for n <= 362, so each matrix is bitwise the
+    one assemble_saddle gives for its stencil there.
+    """
+    b, n = stencils.shape
+    p = phi.shape[1]
+    P = points[stencils]
+    K = _kernel_inplace(spec, _symmetrized(P @ np.swapaxes(P, 1, 2)))
+    Ph = phi[stencils]
+    M = np.zeros((b, n + p, n + p))
+    M[:, :n, :n] = K
+    M[:, :n, n:] = Ph
+    M[:, n:, :n] = np.swapaxes(Ph, 1, 2)
+    return M
 
 
 def evaluate_expansion(spec, centers, a, c, points, block_size=4096):

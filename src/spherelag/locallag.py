@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.lapack import dgesv
 
 from .geom import NodeSet, ensure_stats
 from .kernel import (
+    KERNEL_TILE,
     KernelSpec,
-    assemble_saddle,
+    assemble_saddle_stack,
     evaluate_expansion,
     harmonic_basis_for,
     kernel_matrix,
     kernel_sum,
 )
-from .solver import SingularSystemError, factor_solve, gmres, spmv, validated_csc
+from .solver import gmres, pivot_check, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
@@ -113,7 +114,10 @@ class LocalBasis:
     """Sparse local Lagrange basis: column xi of A_sparse lives on Upsilon(xi).
 
     A_sparse is a scipy.sparse.csc_array; its column counts are the footprint
-    sizes, np.diff(A_sparse.indptr).
+    sizes, np.diff(A_sparse.indptr). A build records the stencil health:
+    min_pivot_ratio, the smallest min |U_ii| / ||M||_inf over the LU factors of
+    the stencils kept, and grown, the number of centres retried at double size.
+    Basis files do not store them, so a loaded basis has None for both.
     """
 
     nodes: NodeSet
@@ -121,9 +125,11 @@ class LocalBasis:
     A_sparse: scipy.sparse.csc_array
     C: np.ndarray
     footprint: FootprintRule
+    min_pivot_ratio: float | None = None
+    grown: int | None = None
 
 
-def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False, threads=1):
+def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
     """Solve every footprint system and assemble the sparse basis.
 
     footprint defaults to FootprintRule(), the practical count rule
@@ -142,52 +148,108 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False, thr
 
     if footprint.mode == "count":
         n_sten = footprint.stencil_count(n, spec.m)
-        stencils = knn_all(index, n_sten)
-        rows_of = lambda i: stencils[i]
+        groups = [(np.arange(n), knn_all(index, n_sten))]
         grow = lambda i: knn(index, i, min(n, 2 * n_sten))
     else:
         stats = ensure_stats(nodes)
         r = footprint.stencil_radius(stats.h)
-        rows_of = lambda i: ball(index, pts[i], r)
+        groups = _equal_size_groups([ball(index, pts[i], r) for i in range(n)])
         grow = lambda i: ball(index, pts[i], 2 * r)
 
-    def solve(stencil):
-        rhs = np.zeros(stencil.size + spec.poly_dim)
-        rhs[0] = 1.0  # the centre is the first stencil entry
-        return factor_solve(assemble_saddle(spec, pts, stencil), rhs)
+    phi = harmonic_basis_for(spec).eval(pts)
+    C = np.empty((spec.poly_dim, n))
+    ratio = np.empty(n)
 
-    def run(i):
-        stencil = np.asarray(rows_of(i), dtype=np.int64)
-        try:
-            a, c = solve(stencil)
-        except SingularSystemError:
-            if not grow_on_failure:
-                return i, None, None, None
-            stencil = np.asarray(grow(i), dtype=np.int64)
-            try:
-                a, c = solve(stencil)
-            except SingularSystemError:
-                return i, None, None, None
-        order = np.argsort(stencil)
-        rows, vals = stencil[order], a[order]
-        keep = vals != 0.0  # exact zeros are not stored
-        return i, rows[keep], vals[keep], c
+    def solve(centres, groups):
+        """Columns of centres from their (positions, stencils) groups, and the failures.
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n), chunksize=64))
-    else:
-        results = [run(i) for i in range(n)]
+        The columns come as a CSC array in which a centre whose system is
+        singular has an empty column; those centres are returned in order.
+        """
+        counts = np.zeros(n, dtype=np.int64)
+        for group, stencils in groups:
+            counts[centres[group]] = len(stencils[0])
+        start = np.concatenate([[0], np.cumsum(counts)])
+        # 32-bit indices while they fit: a quarter less memory per stored entry
+        start = start.astype(np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64)
+        rows, vals = np.empty(start[-1], dtype=start.dtype), np.empty(start[-1])
+        failed = []
+        for group, stencils in groups:
+            cen = centres[group]
+            c, r, singular = _cardinal_solves(spec, pts, phi, stencils, start[cen], rows, vals)
+            C[:, cen[~singular]] = c[~singular].T
+            ratio[cen[~singular]] = r[~singular]
+            failed.append(cen[singular])
+        keep = vals != 0.0  # exact zeros, and the columns of failed centres, are not stored
+        if not keep.all():
+            start = np.concatenate([[0], np.cumsum(keep, dtype=start.dtype)])[start]
+            rows, vals = rows[keep], vals[keep]
+        return validated_csc((n, n), start, rows, vals), np.sort(np.concatenate(failed))
 
-    failed = [r[0] for r in results if r[1] is None]
-    if failed:
-        raise StencilFailureError(failed)
+    A, failed = solve(np.arange(n), groups)
+    grown = 0
+    if failed.size and grow_on_failure:
+        grown = int(failed.size)
+        retried, failed = solve(failed, _equal_size_groups([grow(i) for i in failed]))
+        A = A + retried  # the retried columns are empty in A and the only ones in retried
+    if failed.size:
+        raise StencilFailureError(failed.tolist())
+    return LocalBasis(
+        nodes=nodes,
+        spec=spec,
+        A_sparse=A,
+        C=C,
+        footprint=footprint,
+        min_pivot_ratio=float(ratio.min()),
+        grown=grown,
+    )
 
-    _, rows, vals, cs = zip(*results)
-    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
-    A = validated_csc((n, n), indptr, np.concatenate(rows), np.concatenate(vals))
-    C = np.column_stack(cs)
-    return LocalBasis(nodes=nodes, spec=spec, A_sparse=A, C=C, footprint=footprint)
+
+def _equal_size_groups(stencils):
+    """(positions, list of the stencils) for each stencil size in a list of stencils."""
+    sizes = np.array([s.size for s in stencils])
+    groups = []
+    for size in np.unique(sizes):
+        pos = np.flatnonzero(sizes == size)
+        groups.append((pos, [stencils[k] for k in pos]))
+    return groups
+
+
+def _cardinal_solves(spec, pts, phi, stencils, offsets, rows, vals):
+    """Cardinal solutions of the bordered systems of B stencils of n nodes each.
+
+    The centre is the first entry of each row. Chunks of at most KERNEL_TILE**2
+    kernel entries, or one stencil, are assembled together, and each system is
+    factored and solved in place by one LAPACK dgesv call; with BLAS on one
+    thread that is bitwise factor_solve(assemble_saddle(...)) for n <= 362.
+    Stencil k goes to rows[offsets[k]:][:n] sorted by node index, with its
+    kernel coefficients in vals (zeros where the system is singular).
+    Returns the harmonic coefficients (B, p), undefined where singular, and
+    the pivot ratios and singular flags of pivot_check, (B,) each.
+    """
+    B, n = len(stencils), len(stencils[0])
+    c = np.empty((B, spec.poly_dim))
+    ratio, singular = np.empty(B), np.empty(B, dtype=bool)
+    rhs = np.zeros((n + spec.poly_dim, 1))
+    rhs[0] = 1.0
+    step = max(1, KERNEL_TILE**2 // n**2)
+    for lo in range(0, B, step):
+        chunk = np.asarray(stencils[lo : lo + step])
+        hi = lo + len(chunk)
+        stack = assemble_saddle_stack(spec, pts, phi, chunk)
+        scales = np.abs(stack).sum(axis=2).max(axis=1)  # inf-norms
+        x = np.empty((len(chunk), n + spec.poly_dim))
+        for k, M in enumerate(stack):
+            # M is symmetric, so M.T is the Fortran-ordered M that dgesv overwrites
+            x[k] = dgesv(M.T, rhs, overwrite_a=1)[2][:, 0]
+        ratio[lo:hi], singular[lo:hi] = pivot_check(stack, scales)  # stack holds the LUs
+        x[singular[lo:hi], :n] = 0.0
+        order = np.argsort(chunk, axis=1)
+        at = offsets[lo:hi, None] + np.arange(n)
+        rows[at] = np.take_along_axis(chunk, order, axis=1)
+        vals[at] = np.take_along_axis(x[:, :n], order, axis=1)
+        c[lo:hi] = x[:, n:]
+    return c, ratio, singular
 
 
 def eval_local_function(basis, center_idx, points):
@@ -359,7 +421,12 @@ def load_basis(path, nodes, spec):
                 fixed_n=None if fixed < 0 else fixed,
             )
             A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
-            return LocalBasis(nodes, spec, A, np.array(data["C"]), rule)
+            C = np.array(data["C"])
+            if C.shape != (spec.poly_dim, n):
+                raise ValueError(
+                    f"harmonic block has shape {C.shape}, expected (m^2, N) = {(spec.poly_dim, n)}"
+                )
+            return LocalBasis(nodes, spec, A, C, rule)
 
     meta = {}
     data_rows = []

@@ -51,13 +51,23 @@ class SaddleSystem:
         self.matrix = m
 
 
+def pivot_check(lu, scale):
+    """(min |U_ii| / scale, singular) for the LU factor of a matrix with inf-norm scale.
+
+    The factor counts as singular when min |U_ii| <= PIVOT_RTOL * scale. A
+    stack of factors and their scales gives an array of each.
+    """
+    smallest = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
+    return smallest / scale, smallest <= PIVOT_RTOL * scale
+
+
 def _factor(system):
     if system._lu is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
             lu, piv = scipy.linalg.lu_factor(system.matrix, check_finite=False)
         scale = np.abs(system.matrix).sum(axis=1).max()  # inf-norm
-        if np.abs(np.diag(lu)).min() <= PIVOT_RTOL * scale:
+        if pivot_check(lu, scale)[1]:
             raise SingularSystemError(
                 f"saddle system of size {system.n}+{system.p} is numerically singular"
             )

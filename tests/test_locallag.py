@@ -1,7 +1,10 @@
 """Local Lagrange bases, quasi-interpolation, and the preconditioned solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spherelag as sl
 import spherelag.locallag as locallag
@@ -19,7 +22,12 @@ from spherelag.locallag import (
     quasi_interpolate,
     save_basis,
 )
-from spherelag.solver import GmresNotConvergedError, factor_solve
+from spherelag.solver import (
+    PIVOT_RTOL,
+    GmresNotConvergedError,
+    SingularSystemError,
+    factor_solve,
+)
 
 from helpers import fib, full_basis, local_basis, probes, rng, spec
 
@@ -141,22 +149,106 @@ def test_grow_on_failure_recovers_from_clustered_rings():
     far = fib(60).points
     keep = far[np.abs(far @ np.array([0.0, 0.0, 1.0])) < 0.95]
     ns = sl.NodeSet(np.vstack([ring, keep]))
-    with pytest.raises(StencilFailureError):
+    with pytest.raises(StencilFailureError) as info:
         build_local_basis(ns, spec(2))
     basis = build_local_basis(ns, spec(2), grow_on_failure=True)
     for i in (0, 15):
         rows, _ = column(basis.A_sparse, i)
         vals = eval_local_function(basis, i, ns.points[rows])
         assert np.abs(vals - (rows == i)).max() < 1e-8
+    assert basis.grown == len(info.value.centers) > 0
+    assert PIVOT_RTOL < basis.min_pivot_ratio < 1.0
+    plain = local_basis(150)
+    assert plain.grown == 0 and PIVOT_RTOL < plain.min_pivot_ratio < 1.0
 
 
-def test_threaded_build_matches_serial():
-    rule = FootprintRule(fixed_n=30)
-    a = build_local_basis(fib(150), spec(2), rule, threads=1)
-    b = build_local_basis(fib(150), spec(2), rule, threads=2)
-    assert np.array_equal(a.A_sparse.data, b.A_sparse.data)
-    assert np.array_equal(a.A_sparse.indices, b.A_sparse.indices)
-    assert np.array_equal(a.C, b.C)
+def per_stencil_reference(nodes, sp, stencils, grow=None):
+    """Dense A, C, smallest pivot ratio and retried centres from one factor_solve per stencil."""
+    n = len(nodes)
+    A, C = np.zeros((n, n)), np.empty((sp.poly_dim, n))
+    ratios, grown = [], []
+
+    def cardinal(stencil):
+        system = assemble_saddle(sp, nodes, stencil)
+        rhs = np.zeros(stencil.size + sp.poly_dim)
+        rhs[0] = 1.0
+        solution = factor_solve(system, rhs)
+        lu = scipy.linalg.lu_factor(system.matrix)[0]
+        ratios.append(np.abs(np.diag(lu)).min() / np.abs(system.matrix).sum(axis=1).max())
+        return solution
+
+    for i, stencil in enumerate(stencils):
+        try:
+            a, C[:, i] = cardinal(stencil)
+        except SingularSystemError:
+            if grow is None:
+                raise
+            grown.append(i)
+            stencil = grow(i)
+            a, C[:, i] = cardinal(stencil)
+        A[stencil, i] = a
+    return A, C, min(ratios), grown
+
+
+def clustered_ring_in_the_middle():
+    # the 30 ring nodes sit between scattered ones, so one chunk of the build
+    # holds singular stencils between regular ones
+    far = fib(60).points
+    keep = far[np.abs(far[:, 2]) < 0.95]
+    return sl.NodeSet(np.vstack([keep[:20], ring_nodes(30, np.cos(0.05)), keep[20:]]))
+
+
+@pytest.mark.parametrize(
+    "nodes, m, rule, grow",
+    [
+        (lambda: fib(900), 2, FootprintRule(), False),
+        (lambda: fib(400), 2, FootprintRule(mode="radius", M=2.0), False),
+        (lambda: fib(900), 3, FootprintRule(), False),
+        (lambda: fib(500), 2, FootprintRule(fixed_n=400), False),
+        (clustered_ring_in_the_middle, 2, FootprintRule(), True),
+    ],
+    ids=["count", "radius", "m3", "fixed400", "grown"],
+)
+def test_batched_build_matches_per_stencil_solves(nodes, m, rule, grow):
+    nodes, sp = nodes(), spec(m)
+    index = sl.build_index(nodes)
+    n = len(nodes)
+    if rule.mode == "count":
+        size = rule.stencil_count(n, m)
+        stencils = sl.knn_all(index, size)
+        grow_fn = lambda i: sl.knn(index, i, min(n, 2 * size))
+    else:
+        r = rule.stencil_radius(sl.ensure_stats(nodes).h)
+        stencils = [sl.ball(index, p, r) for p in nodes.points]
+        assert len({s.size for s in stencils}) > 1
+    A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow_fn if grow else None)
+    basis = build_local_basis(nodes, sp, rule, grow_on_failure=grow)
+    assert basis.grown == len(grown) and (len(grown) > 0) == grow
+    if max(np.diff(basis.A_sparse.indptr)) < 200:
+        # OpenBLAS factors systems this small on one thread at any thread count
+        assert np.array_equal(basis.A_sparse.toarray(), A)
+        assert np.array_equal(basis.C, C)
+        assert basis.min_pivot_ratio == ratio
+    else:
+        # threaded OpenBLAS takes its parallel LU at other sizes in dgesv than
+        # in getrf, which rounds differently; on one thread these are bitwise too
+        assert np.abs(basis.A_sparse.toarray() - A).max() <= 1e-10 * np.abs(A).max()
+        assert np.abs(basis.C - C).max() <= 1e-10 * np.abs(C).max()
+        assert basis.min_pivot_ratio == pytest.approx(ratio, rel=1e-6)
+
+
+def test_build_memory_stays_near_the_result():
+    # one bordered stack for all N = 2562 stencils would take 159 MB
+    nodes = fib(2562)
+    tracemalloc.start()
+    try:
+        basis = build_local_basis(nodes, spec(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    A = basis.A_sparse
+    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + basis.C.nbytes
+    assert peak < result + 8 * 2**20
 
 
 def test_radius_mode_builds_variable_stencils():
@@ -386,6 +478,19 @@ def test_csv_rejects_incomplete_columns(tmp_path):
         path.write_text("".join(kept))
         with pytest.raises(ValueError, match=match):
             load_basis(path, fib(200), spec(2))
+
+
+def test_npz_rejects_a_harmonic_block_of_the_wrong_shape(tmp_path):
+    basis = build_local_basis(fib(80), spec(2))
+    for bad in (basis.C[:, :79], basis.C.T):
+        path = tmp_path / "basis.npz"
+        save_basis(path, basis)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["C"] = bad
+        np.savez(path, **fields)
+        with pytest.raises(ValueError, match=r"\(4, 80\)"):
+            load_basis(path, basis.nodes, basis.spec)
 
 
 def test_save_basis_rejects_unknown_format(tmp_path):
