@@ -83,10 +83,15 @@ KERNEL_TILE = 256
 
 
 def _symmetrized(t):
-    """Symmetrize a matrix, or each matrix of a stack, in place."""
-    t += np.swapaxes(t, -1, -2)  # force bitwise symmetry before the nonlinearity
-    t *= 0.5
-    return t
+    """0.5 (t + t^T) of a matrix, or of each matrix of a stack, as a new array.
+
+    Forces bitwise symmetry before the nonlinearity. Adding into a fresh array
+    avoids the transposed temporary numpy makes when t is both an operand and
+    the output.
+    """
+    s = np.add(t, np.swapaxes(t, -1, -2))
+    s *= 0.5
+    return s
 
 
 def _tile(spec, pts_i, pts_j=None):
@@ -100,6 +105,40 @@ def _upper_tiles(n):
     """(rows, cols) index ranges of the KERNEL_TILE tiles on and above the diagonal."""
     spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
     return [(rows, cols) for a, rows in enumerate(spans) for cols in spans[a:]]
+
+
+def kernel_tiles(spec, points):
+    """The kernel matrix of points as its upper-triangle tiles, computed one at a time.
+
+    Yields (rows, cols, K[rows, cols]) for each KERNEL_TILE tile on and above
+    the diagonal; each tile comes from its own dot product and the diagonal
+    tiles are exactly symmetric.
+    """
+    for rows, cols in _upper_tiles(points.shape[0]):
+        yield rows, cols, _tile(spec, points[rows], None if rows == cols else points[cols])
+
+
+def _checked_weights(weights, n_sources):
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[0] != n_sources:
+        raise ValueError(f"weights of shape {w.shape} do not match {n_sources} sources")
+    return w
+
+
+def apply_tiles(tiles, n, weights):
+    """K w for the symmetric n x n kernel matrix given by its upper-triangle tiles.
+
+    Each tile is applied as K_ij and K_ij^T. The symmetric kernel_sum passes
+    kernel_tiles, so every tile is dropped after use; a cached operator passes
+    the stored list. Both give bitwise the same sum.
+    """
+    w = _checked_weights(weights, n)
+    out = np.zeros(w.shape)
+    for rows, cols, k in tiles:
+        out[rows] += k @ w[cols]
+        if rows != cols:
+            out[cols] += k.T @ w[rows]
+    return out
 
 
 def kernel_matrix(spec, pts_a, pts_b=None):
@@ -122,8 +161,8 @@ def kernel_matrix(spec, pts_a, pts_b=None):
     # tile product differently from the same entries of the full product
     K = pts_a @ pts_a.T
     for rows, cols in _upper_tiles(n):
-        t = np.ascontiguousarray(K[rows, cols])
-        _kernel_inplace(spec, _symmetrized(t) if rows == cols else t)
+        t = K[rows, cols]
+        t = _kernel_inplace(spec, _symmetrized(t) if rows == cols else t.copy())
         K[rows, cols] = t
         if rows != cols:
             K[cols, rows] = t.T
@@ -141,17 +180,10 @@ def kernel_sum(spec, targets, sources, weights):
     symmetric = targets is sources
     targets = np.asarray(targets, dtype=np.float64)
     sources = np.asarray(sources, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.shape[0] != sources.shape[0]:
-        raise ValueError(f"weights of shape {w.shape} do not match {sources.shape[0]} sources")
-    out = np.zeros((targets.shape[0],) + w.shape[1:])
     if symmetric:
-        for rows, cols in _upper_tiles(targets.shape[0]):
-            k = _tile(spec, targets[rows], None if rows == cols else targets[cols])
-            out[rows] += k @ w[cols]
-            if rows != cols:
-                out[cols] += k.T @ w[rows]
-        return out
+        return apply_tiles(kernel_tiles(spec, targets), targets.shape[0], weights)
+    w = _checked_weights(weights, sources.shape[0])
+    out = np.zeros((targets.shape[0],) + w.shape[1:])
     T = KERNEL_TILE
     for i in range(0, targets.shape[0], T):
         acc = out[i : i + T]

@@ -23,11 +23,12 @@ from .geom import NodeSet, ensure_stats
 from .kernel import (
     KERNEL_TILE,
     KernelSpec,
+    apply_tiles,
     assemble_saddle_stack,
     evaluate_expansion,
     harmonic_basis_for,
-    kernel_matrix,
     kernel_sum,
+    kernel_tiles,
 )
 from .solver import gmres, pivot_check, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
@@ -35,10 +36,11 @@ from .neighbors import ball, build_index, knn, knn_all
 # Refuse node sets beyond this size outright.
 MAX_NODES = 200_000
 
-# Largest N for which the dense kernel matrix is materialized (once) instead of
-# recomputed tile by tile inside every matvec. Materializing peaks at the
-# matrix plus one kernel tile (1.02 x 8 N^2 bytes measured at N = 3000), about
-# 1.1 GB at 12000; beyond that the matrix never exists in full.
+# Largest N for which the kernel matrix is materialized (once) instead of
+# recomputed tile by tile inside every matvec. Only its upper-triangle tiles
+# are kept, 4 N (N + 256) bytes: measured peaks 0.547 x 8 N^2 at N = 3000,
+# 431 MB at 10242 and 589 MB at 12000. Beyond the limit the matrix never
+# exists in full.
 MATERIALIZE_LIMIT = 12_000
 
 
@@ -299,20 +301,23 @@ def quasi_interpolate(basis, f_values):
 class KernelMatvec:
     """v -> K v for the full kernel matrix, materialized only when N is small.
 
-    Above `materialize_limit` each product is a symmetric kernel_sum, which
-    recomputes the upper-triangle tiles and keeps memory at one tile.
+    Up to `materialize_limit` nodes, `matrix` is the list of upper-triangle
+    tiles (rows, cols, K[rows, cols]) that the symmetric kernel_sum computes,
+    kept instead of dropped, and each product applies them as that sum does:
+    the two routes give bitwise the same result. Above the limit `matrix` is
+    None and each product is a symmetric kernel_sum, which recomputes the tiles
+    and keeps memory at one tile.
     """
 
     def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
         self.spec = spec
         self.points = np.asarray(points, dtype=np.float64)
         n = self.points.shape[0]
-        self.matrix = kernel_matrix(spec, self.points) if n <= materialize_limit else None
+        self.matrix = list(kernel_tiles(spec, self.points)) if n <= materialize_limit else None
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=np.float64)
         if self.matrix is not None:
-            return self.matrix @ v
+            return apply_tiles(self.matrix, self.points.shape[0], v)
         return kernel_sum(self.spec, self.points, self.points, v)
 
 

@@ -134,6 +134,18 @@ class GmresReport:
     final_check: float | None = None
 
 
+# Iterations gmres allocates room for at first; a solve preconditioned with
+# the local basis takes 5-8.
+_GMRES_BLOCK = 16
+
+
+def _grown(a, shape):
+    """a copied into the leading corner of a zero array of the larger shape."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
 def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
     """Full (non-restarted) GMRES with modified Gram-Schmidt and Givens rotations.
 
@@ -142,8 +154,13 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
     returned x = x0 + P y satisfies the same residual bound. Convergence is
     ||rhs - A x||_2 / ||rhs||_2 <= tol; an exact Krylov breakdown counts as
     convergence. Raises GmresNotConvergedError (carrying the best iterate)
-    when maxit is exhausted.
+    when maxit is exhausted. The Krylov basis and the Hessenberg matrix start
+    with room for _GMRES_BLOCK iterations and double when full, so memory
+    follows the iterations taken, not maxit.
     """
+    maxit = int(maxit)
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
     b = np.asarray(rhs, dtype=np.float64)
     n = b.size
     bnorm = float(np.linalg.norm(b))
@@ -159,13 +176,13 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
     if history[0] <= tol:
         return x0.copy(), GmresReport(0, True, history[0], history)
 
-    maxit = int(maxit)
-    Q = np.empty((maxit + 1, n))
+    cap = min(maxit, _GMRES_BLOCK)
+    Q = np.empty((cap + 1, n))
     Q[0] = r0 / beta
-    H = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
+    H = np.zeros((cap + 1, cap))
+    cs = np.zeros(cap)
+    sn = np.zeros(cap)
+    g = np.zeros(cap + 1)
     g[0] = beta
 
     def assemble(k):
@@ -176,6 +193,15 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
     converged = False
     k = 0
     for j in range(maxit):
+        if j == cap:
+            cap = min(2 * cap, maxit)
+            Q, H, cs, sn, g = (
+                _grown(Q, (cap + 1, n)),
+                _grown(H, (cap + 1, cap)),
+                _grown(cs, (cap,)),
+                _grown(sn, (cap,)),
+                _grown(g, (cap + 1,)),
+            )
         # copy: the operator may hand back its argument (e.g. the identity),
         # and orthogonalization must not write through into Q
         w = np.array(op(Q[j]), dtype=np.float64)

@@ -257,6 +257,12 @@ def test_solve_nonconvergence_still_reports(node_file, basis_file, tmp_path, cap
     assert "converged=False" in report.read_text()
 
 
+@pytest.mark.parametrize("maxit", ["-3", "0", "401", str(10**9)])
+def test_solve_rejects_maxit_outside_one_to_n(node_file, basis_file, capsys, maxit):
+    argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--maxit", maxit]
+    assert_domain_error(argv, capsys, "--maxit must lie in 1..400")
+
+
 def test_build_footprint_flags_are_exclusive(node_file, tmp_path, capsys):
     out = str(tmp_path / "b.npz")
     code = main(["build", "--nodes", str(node_file), "--n", "40", "--M", "8", "--out", out])

@@ -10,6 +10,7 @@ from scipy.special import eval_legendre
 import spherelag as sl
 from spherelag.kernel import (
     HarmonicBasis,
+    _symmetrized,
     assemble_saddle,
     eval_kernel,
     evaluate_expansion,
@@ -164,6 +165,27 @@ def test_kernel_matrix_memory_is_the_matrix_plus_one_tile():
     n = 3000
     pts = random_unit_points(n, seed=9)
     assert traced_peak(lambda: kernel_matrix(spec(2), pts)) <= 1.25 * 8 * n * n
+
+
+def test_cached_operator_memory_is_its_upper_tiles():
+    # 0.542 x 8 N^2 bytes of upper-triangle tiles at N = 3000, plus one tile
+    n = 3000
+    pts = random_unit_points(n, seed=9)
+    assert traced_peak(lambda: sl.KernelMatvec(spec(2), pts)) <= 0.55 * 8 * n * n
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (256, 256), (300, 300), (4, 119, 119), (3, 1, 1)])
+def test_symmetrized_matches_the_reference_formula(shape):
+    p = rng(len(shape)).normal(size=shape[:-1] + (3,))
+    t = p @ np.swapaxes(p, -1, -2) + 1e-3 * rng(1).normal(size=shape)
+    expected = 0.5 * (t + t.swapaxes(-1, -2))
+    s = _symmetrized(t)
+    assert np.array_equal(s, expected)
+    assert np.array_equal(s, s.swapaxes(-1, -2))
+    # a strided view, as kernel_matrix passes its diagonal tiles
+    big = np.zeros(shape[:-2] + (shape[-2] + 5, shape[-1] + 5))
+    big[..., 2 : 2 + shape[-2], 3 : 3 + shape[-1]] = t
+    assert np.array_equal(_symmetrized(big[..., 2 : 2 + shape[-2], 3 : 3 + shape[-1]]), expected)
 
 
 def test_matrix_free_matvec_memory_is_one_tile():

@@ -311,6 +311,29 @@ def test_kernel_matvec_routes_agree():
     assert np.allclose(blocked(v), K @ v, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [200, 256, 257, 700])
+def test_cached_and_matrix_free_matvecs_are_bitwise_equal(n):
+    # one diagonal tile, exactly one tile, one row past it, a ragged last tile
+    pts = fib(n).points
+    cached = KernelMatvec(spec(2), pts)
+    free = KernelMatvec(spec(2), pts, materialize_limit=0)
+    assert cached.matrix is not None and free.matrix is None
+    for v in (rng(n).normal(size=n), rng(n).normal(size=(n, 3))):
+        assert np.array_equal(cached(v), free(v))
+    with pytest.raises(ValueError, match="weights"):
+        cached(np.ones(n + 1))
+
+
+def test_preconditioned_solve_is_bitwise_the_same_materialized_or_not():
+    ns = fib(1200)
+    f = np.exp(ns.points[:, 2])
+    basis = local_basis(1200)
+    a, c, report = interpolate_preconditioned(ns, spec(2), basis, f)
+    a0, c0, report0 = interpolate_preconditioned(ns, spec(2), basis, f, materialize_limit=0)
+    assert np.array_equal(a, a0) and np.array_equal(c, c0)
+    assert report.iterations == report0.iterations
+
+
 def test_preconditioned_solve_matches_direct():
     ns = fib(300)
     k2 = spec(2)

@@ -259,6 +259,24 @@ def test_gmres_happy_breakdown_rank_deficient_rhs():
     assert np.allclose(A @ x, b, atol=1e-12)
 
 
+def test_gmres_rejects_maxit_below_one():
+    for maxit in (0, -3):
+        with pytest.raises(ValueError, match="maxit"):
+            gmres(lambda v: v, np.ones(4), maxit=maxit)
+
+
+def test_gmres_storage_grows_without_changing_the_iterates():
+    # 40 distinct eigenvalues: more iterations than the first block holds
+    d = np.repeat(np.linspace(1.0, 40.0, 40), 2)
+    b = rng(17).normal(size=80)
+    x, report = gmres(lambda v: d * v, b, tol=1e-13, maxit=40)
+    assert report.converged and report.iterations > 16
+    assert np.allclose(x, b / d, atol=1e-10)
+    x_big, report_big = gmres(lambda v: d * v, b, tol=1e-13, maxit=10**9)
+    assert np.array_equal(x_big, x)
+    assert report_big.residual_history == report.residual_history
+
+
 # ---- eigen bounds ---- #
 
 def test_sym_eig_minmax_against_jacobi_oracle():
