@@ -212,9 +212,6 @@ def cmd_build(args, config):
 def cmd_solve(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
-    if not 1 <= args.maxit <= len(nodes):
-        # full GMRES converges within N steps and keeps one N-vector per step
-        raise ValueError(f"--maxit must lie in 1..{len(nodes)}, got {args.maxit}")
     basis = load_basis(args.basis, nodes, spec)
     rng = np.random.default_rng(config.seed)
     data = _load_data(args.data, len(nodes), rng)
