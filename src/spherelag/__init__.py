@@ -41,14 +41,10 @@ from .solver import (
     validated_csc,
 )
 from .lagrange import (
-    ConstraintViolationError,
     LagrangeBasis,
-    TruncatedColumn,
     eval_columns,
     full_lagrange,
     gram_discrete,
-    native_inner,
-    truncate_project,
 )
 from .locallag import (
     FootprintRule,

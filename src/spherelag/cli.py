@@ -37,7 +37,6 @@ from .geom import (
 )
 from .gramstudy import CAP_GRAM_ORDER, cap_gram_analytic, cap_gram_compare, min_eig_ratio
 from .kernel import KernelSpec, evaluate_expansion
-from .lagrange import ConstraintViolationError
 from .locallag import (
     FootprintRule,
     StencilFailureError,
@@ -61,7 +60,6 @@ DOMAIN_ERRORS = (
     NonUnisolventError,
     StencilFailureError,
     GmresNotConvergedError,
-    ConstraintViolationError,
     InsufficientSamplesError,
     ValueError,
     OSError,
@@ -112,20 +110,27 @@ def _load_data(path, n, rng):
     data = np.loadtxt(path, comments="#", ndmin=1, dtype=np.float64)
     if data.shape != (n,):
         raise ValueError(f"{path}: expected {n} values, found {data.shape[0]}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise ValueError(f"{path}: value {int(np.argmin(finite)) + 1} is not finite")
     return data
 
 
-def _save_coeffs(path, a, c, config, spec, n):
+def _save_coeffs(path, a, c, config, spec, nodes):
     rows = [("a", i, float(v)) for i, v in enumerate(a)]
     rows += [("c", j, float(v)) for j, v in enumerate(c)]
-    write_csv(path, ["kind", "idx", "value"], rows, config, extra=[f"N={n} m={spec.m}"])
+    meta = f"N={len(nodes)} m={spec.m} fingerprint={nodes.fingerprint()}"
+    write_csv(path, ["kind", "idx", "value"], rows, config, extra=[meta])
 
 
-def _load_coeffs(path, n, spec):
+def _load_coeffs(path, nodes, spec):
     """Inverse of _save_coeffs; the N= m= line must match the nodes and --m.
 
-    Every a index 0..N-1 and c index 0..m^2-1 must appear exactly once.
+    A fingerprint on that line must match the nodes; files written before
+    fingerprints were stored are read without the check. Every a index
+    0..N-1 and c index 0..m^2-1 must appear exactly once, with a finite value.
     """
+    n = len(nodes)
     coeffs = {"a": np.zeros(n), "c": np.zeros(spec.poly_dim)}
     seen = {kind: np.zeros(target.size, dtype=bool) for kind, target in coeffs.items()}
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,6 +143,9 @@ def _load_coeffs(path, n, spec):
                         f"{path}: coefficients are for N={meta['N']} m={meta['m']}, "
                         f"not N={n} m={spec.m}"
                     )
+                stored = meta.get("fingerprint")
+                if stored is not None and stored != nodes.fingerprint():
+                    raise ValueError(f"{path}: coefficients are for a different node set")
             if not line or line.startswith("#") or line.startswith("kind,"):
                 continue
             kind, idx, value = line.split(",")
@@ -150,6 +158,8 @@ def _load_coeffs(path, n, spec):
                 raise ValueError(f"{path}: {kind} index {idx} appears twice")
             seen[kind][idx] = True
             target[idx] = float(value)
+            if not math.isfinite(target[idx]):
+                raise ValueError(f"{path}: {kind} index {idx} is not finite")
     for kind, got in seen.items():
         missing = np.flatnonzero(~got)
         if missing.size:
@@ -242,7 +252,7 @@ def cmd_solve(args, config):
             )
         raise
     if args.out:
-        _save_coeffs(args.out, a, c, config, spec, len(nodes))
+        _save_coeffs(args.out, a, c, config, spec, nodes)
     if args.report:
         write_csv(
             args.report,
@@ -267,7 +277,7 @@ def _parse_grid(text):
 def cmd_eval(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
-    a, c = _load_coeffs(args.coeffs, len(nodes), spec)
+    a, c = _load_coeffs(args.coeffs, nodes, spec)
     grid = _parse_grid(args.at)
     if grid is not None:
         n_lat, n_lon = grid

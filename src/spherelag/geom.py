@@ -6,6 +6,7 @@ Distances are geodesic (great-circle) unless a function says otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ MAX_GENERATED = 1_000_000
 
 
 class NodeFileError(ValueError):
-    """Malformed node file (bad token count, unparsable number, zero row)."""
+    """Malformed node file (bad token count, unparsable or non-finite number, zero row)."""
 
 
 class DuplicateNodesError(ValueError):
@@ -41,7 +42,7 @@ class MeshStats:
 
 @dataclass
 class NodeSet:
-    """Ordered set of distinct unit vectors.
+    """Ordered set of distinct, finite unit vectors.
 
     `stats` is a cache slot filled by ensure_stats; `n_normalized` counts input
     rows that had to be rescaled onto the sphere at load time.
@@ -55,6 +56,11 @@ class NodeSet:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"{int((~finite).sum())} rows are not finite (first row {int(np.argmin(finite))})"
+            )
         norms = np.linalg.norm(pts, axis=1)
         bad = np.abs(norms - 1.0) > UNIT_TOL
         if bad.any():
@@ -66,6 +72,10 @@ class NodeSet:
 
     def __len__(self):
         return self.points.shape[0]
+
+    def fingerprint(self):
+        """SHA-256 hex digest of the point bytes; basis and coefficient files store it."""
+        return hashlib.sha256(self.points.tobytes()).hexdigest()
 
     @classmethod
     def from_array(cls, arr, normalize=False):
@@ -352,9 +362,10 @@ def save_nodes(path, nodes):
 def load_nodes(path):
     """Read a node file: 'x y z' per line, '#' comments and blank lines skipped.
 
-    Rows off the sphere by more than 1e-12 are normalized (count recorded on the
-    returned set and reported via warnings.warn). Exact duplicate points are
-    rejected with the offending 1-based line numbers.
+    A line with a non-finite coordinate (nan, inf) is rejected. Rows off the
+    sphere by more than 1e-12 are normalized (count recorded on the returned
+    set and reported via warnings.warn). Exact duplicate points are rejected
+    with the offending 1-based line numbers.
     """
     rows = []
     line_numbers = []
@@ -369,9 +380,12 @@ def load_nodes(path):
                     f"{path}: line {lineno}: expected 3 values, got {len(parts)}"
                 )
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise NodeFileError(f"{path}: line {lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise NodeFileError(f"{path}: line {lineno}: coordinates must be finite")
+            rows.append(row)
             line_numbers.append(lineno)
     if not rows:
         raise NodeFileError(f"{path}: no points found")

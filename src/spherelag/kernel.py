@@ -46,21 +46,29 @@ def _kernel_sup_norm(m):
 def _kernel_inplace(spec, t):
     """Turn a float64 array of dot products into k_m values in place.
 
-    Clips to [-1, 1], takes s = 1 - t, masks s < SURFACE_CUTOFF, then forms
-    sign * s^(m-1) * log(s). Allocates one temporary of t's size (the
-    logarithm) plus a boolean mask, and rounds exactly as the unfused formula.
+    Takes s = 1 - t, caps s at 2 (t below -1), masks s < SURFACE_CUTOFF, then
+    forms sign * s^(m-1) * log(s), with the limit 0 on the mask. Every t above
+    1 lands in the mask, so t needs no upper clip. The cap and the mask are
+    only formed when some entry needs them; NaN stays NaN. Allocates one
+    temporary of t's size (the logarithm) plus a boolean mask, and rounds
+    exactly as clipping t to [-1, 1] and applying the unfused formula.
     """
-    np.clip(t, -1.0, 1.0, out=t)
     np.subtract(1.0, t, out=t)
-    near = t < SURFACE_CUTOFF
-    np.copyto(t, 1.0, where=near)
+    if t.size == 0:
+        return t
+    if not t.max() <= 2.0:
+        np.minimum(t, 2.0, out=t)
+    near = None if t.min() >= SURFACE_CUTOFF else t < SURFACE_CUTOFF
+    if near is not None:
+        np.copyto(t, 1.0, where=near)
     logs = np.log(t)
     if spec.m > 2:
         np.power(t, spec.m - 1, out=t)
     np.multiply(t, logs, out=t)
     if spec.m % 2:
         np.negative(t, out=t)
-    np.copyto(t, 0.0, where=near)
+        if near is not None:
+            np.copyto(t, 0.0, where=near)  # -(1 log 1) is -0.0; even m already has +0.0
     return t
 
 

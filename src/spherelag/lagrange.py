@@ -1,10 +1,10 @@
-"""Full Lagrange bases, native-space inner products, truncation onto subsets.
+"""Full Lagrange bases.
 
 Each Lagrange function chi_xi = sum_zeta A[zeta, xi] k(., zeta) + poly part is
 cardinal at the nodes. The coefficient matrix A is symmetric (it equals the
 Gram matrix of the chi's in the native-space semi-inner product) and its
 entries decay exponentially away from the diagonal, which is what makes
-truncated and local variants work.
+local variants work.
 """
 
 from __future__ import annotations
@@ -14,21 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import NodeSet
-from .kernel import (
-    KernelSpec,
-    assemble_saddle,
-    evaluate_expansion,
-    harmonic_basis_for,
-    kernel_matrix,
-)
-from .solver import NonUnisolventError, factor_solve, sym_eig_minmax
+from .kernel import KernelSpec, assemble_saddle, evaluate_expansion
+from .solver import factor_solve
 
 FULL_BASIS_CAP = 20_000
-GRAM_MIN_EIG = 1e-13
-
-
-class ConstraintViolationError(ValueError):
-    """Coefficient vector is not in the harmonic moment-free constraint space."""
 
 
 @dataclass
@@ -60,84 +49,6 @@ def eval_columns(basis, points, cols=None):
         cols = np.asarray(cols, dtype=np.int64)
         A, C = A[:, cols], C[:, cols]
     return evaluate_expansion(basis.spec, basis.nodes.points, A, C, points)
-
-
-def native_inner(nodes, spec, a1, a2, kernel_gram=None):
-    """Semi-inner product <u, v> = a1^T K a2 of two kernel expansions.
-
-    Both coefficient vectors must be orthogonal to the harmonic samples
-    (Phi^T a = 0 within 1e-8), which is exactly the condition making the
-    quadratic form well defined and non-negative.
-    """
-    pts = nodes.points
-    a1 = np.asarray(a1, dtype=np.float64)
-    a2 = np.asarray(a2, dtype=np.float64)
-    phi = harmonic_basis_for(spec).eval(pts)
-    for name, a in (("a1", a1), ("a2", a2)):
-        drift = np.abs(phi.T @ a).max()
-        if drift > 1e-8 * max(1.0, float(np.linalg.norm(a))):
-            raise ConstraintViolationError(
-                f"{name} violates the moment conditions (|Phi^T a| = {drift:.3e})"
-            )
-    if kernel_gram is None:
-        kernel_gram = kernel_matrix(spec, pts)
-    return float(a1 @ kernel_gram @ a2)
-
-
-@dataclass
-class TruncatedColumn:
-    """A Lagrange function restricted to a subset, corrected back into the
-    constraint space by the minimal-norm harmonic-sample combination."""
-
-    nodes: NodeSet
-    spec: KernelSpec
-    center_idx: int
-    support: np.ndarray
-    a: np.ndarray
-    poly: np.ndarray
-
-    def eval(self, points):
-        return evaluate_expansion(
-            self.spec, self.nodes.points[self.support], self.a, self.poly, points
-        )
-
-
-def truncate_project(basis, center_idx, subset):
-    """Drop coefficients outside `subset` and restore the moment conditions.
-
-    The correction is Phi|_U tau with G tau = sigma, sigma_j = sum over the
-    complement of A[zeta, xi] phi_j(zeta). Since the full column has zero
-    harmonic moments, the corrected column does too, and the correction is the
-    l2-smallest one within span(phi_j|_U). Requires the subset to be unisolvent
-    (lambda_min of the discrete Gram above 1e-13) and to contain the center.
-    """
-    subset = np.unique(np.asarray(subset, dtype=np.int64))
-    if center_idx not in subset:
-        raise ValueError("subset must contain the center node")
-    pts = basis.nodes.points
-    phi = harmonic_basis_for(basis.spec).eval(pts)
-
-    gram = phi[subset].T @ phi[subset]
-    lam_min, _ = sym_eig_minmax(gram)
-    if lam_min <= GRAM_MIN_EIG:
-        raise NonUnisolventError(
-            f"subset of {subset.size} nodes has singular discrete Gram "
-            f"(lambda_min = {lam_min:.3e})"
-        )
-
-    col = basis.A[:, center_idx]
-    comp = np.ones(pts.shape[0], dtype=bool)
-    comp[subset] = False
-    sigma = phi[comp].T @ col[comp]
-    tau = np.linalg.solve(gram, sigma)
-    return TruncatedColumn(
-        nodes=basis.nodes,
-        spec=basis.spec,
-        center_idx=int(center_idx),
-        support=subset,
-        a=col[subset] + phi[subset] @ tau,
-        poly=basis.C[:, center_idx].copy(),
-    )
 
 
 def gram_discrete(points, basis):

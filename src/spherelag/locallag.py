@@ -222,8 +222,9 @@ def _cardinal_solves(spec, pts, phi, stencils, offsets, rows, vals):
 
     The centre is the first entry of each row. Chunks of at most KERNEL_TILE**2
     kernel entries, or one stencil, are assembled together, and each system is
-    factored and solved in place by one LAPACK dgesv call; with BLAS on one
-    thread that is bitwise factor_solve(assemble_saddle(...)) for n <= 362.
+    factored and solved in place by one LAPACK dgesv call, the routine
+    factor_solve calls; for n <= 362 that is bitwise
+    factor_solve(assemble_saddle(...)).
     Stencil k goes to rows[offsets[k]:][:n] sorted by node index, with its
     kernel coefficients in vals (zeros where the system is singular).
     Returns the harmonic coefficients (B, p), undefined where singular, and
@@ -344,6 +345,9 @@ def interpolate_preconditioned(
     n = len(nodes)
     if f.shape != (n,):
         raise ValueError("data length does not match the node set")
+    finite = np.isfinite(f)
+    if not finite.all():
+        raise ValueError(f"data value {int(np.argmin(finite))} is not finite")
     if basis.nodes is not nodes and not np.array_equal(basis.nodes.points, nodes.points):
         raise ValueError("basis was built for a different node set")
     if x0 not in ("data", "zero"):
@@ -367,12 +371,19 @@ def interpolate_preconditioned(
 
 # ---- basis file round trip ---- #
 
+def _check_fingerprint(stored, nodes):
+    if stored != nodes.fingerprint():
+        raise ValueError("basis was saved for a different node set (fingerprint mismatch)")
+
+
 def save_basis(path, basis, fmt="npz"):
     """Persist a LocalBasis; 'npz' (compact) or 'csv' (documented text triplets).
 
-    An unset M is stored as NaN in npz files and left empty in csv files.
+    An unset M is stored as NaN in npz files and left empty in csv files. Both
+    formats store the node-set fingerprint, which load_basis checks.
     """
     A, rule = basis.A_sparse, basis.footprint
+    fingerprint = basis.nodes.fingerprint()
     if fmt == "npz":
         np.savez(
             path,
@@ -385,6 +396,7 @@ def save_basis(path, basis, fmt="npz"):
             mode=np.array([rule.mode]),
             M=np.array([math.nan if rule.M is None else rule.M]),
             fixed_n=np.array([-1 if rule.fixed_n is None else rule.fixed_n]),
+            fingerprint=np.array([fingerprint]),
         )
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -392,7 +404,8 @@ def save_basis(path, basis, fmt="npz"):
             fh.write(
                 f"# N={len(basis.nodes)} m={basis.spec.m} mode={rule.mode} "
                 f"M={'' if rule.M is None else repr(rule.M)} "
-                f"fixed_n={'' if rule.fixed_n is None else rule.fixed_n}\n"
+                f"fixed_n={'' if rule.fixed_n is None else rule.fixed_n} "
+                f"fingerprint={fingerprint}\n"
             )
             fh.write("kind,col,idx,value\n")
             writer = csv.writer(fh)
@@ -409,7 +422,9 @@ def save_basis(path, basis, fmt="npz"):
 def load_basis(path, nodes, spec):
     """Inverse of save_basis; validates set size, kernel order and every index.
 
-    A csv file must give every column kernel records and each of its m^2
+    A file with a node-set fingerprint must match the fingerprint of nodes;
+    files written before fingerprints were stored load without the check. A
+    csv file must give every column kernel records and each of its m^2
     harmonic records exactly once.
     """
     n = len(nodes)
@@ -419,6 +434,8 @@ def load_basis(path, nodes, spec):
                 raise ValueError("basis was saved for a different node count")
             if int(data["m"][0]) != spec.m:
                 raise ValueError("basis was saved for a different kernel order")
+            if "fingerprint" in data.files:
+                _check_fingerprint(str(data["fingerprint"][0]), nodes)
             M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
             rule = FootprintRule(
                 mode=str(data["mode"][0]),
@@ -455,6 +472,8 @@ def load_basis(path, nodes, spec):
         raise ValueError("basis was saved for a different node count")
     if meta.get("m") is not None and int(meta["m"]) != spec.m:
         raise ValueError("basis was saved for a different kernel order")
+    if meta.get("fingerprint") is not None:
+        _check_fingerprint(meta["fingerprint"], nodes)
     cols, rows, vals = [], [], []
     C = np.zeros((spec.poly_dim, n))
     have_c = np.zeros(C.shape, dtype=bool)

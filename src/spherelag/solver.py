@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgesv
 
 PIVOT_RTOL = 1e-14
 
@@ -41,7 +41,6 @@ class SaddleSystem:
     n: int
     p: int
     matrix: np.ndarray
-    _lu: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -61,33 +60,26 @@ def pivot_check(lu, scale):
     return smallest / scale, smallest <= PIVOT_RTOL * scale
 
 
-def _factor(system):
-    if system._lu is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-            lu, piv = scipy.linalg.lu_factor(system.matrix, check_finite=False)
-        scale = np.abs(system.matrix).sum(axis=1).max()  # inf-norm
-        if pivot_check(lu, scale)[1]:
-            raise SingularSystemError(
-                f"saddle system of size {system.n}+{system.p} is numerically singular"
-            )
-        system._lu = (lu, piv)
-    return system._lu
-
-
 def factor_solve(system, rhs):
     """Solve the bordered system for one or many right-hand sides.
 
     rhs has length n+p (trailing p entries zero for plain interpolation data);
     columns are independent problems. Returns (a, c) = (kernel coefficients,
-    polynomial coefficients). The factorization is computed once and cached.
+    polynomial coefficients). One LAPACK dgesv call, the routine the local
+    basis build uses, factors a copy of the matrix and solves; a pivot at or
+    below PIVOT_RTOL * ||M||_inf raises SingularSystemError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != system.n + system.p:
         raise ValueError(
             f"rhs length {rhs.shape[0]} does not match system size {system.n + system.p}"
         )
-    sol = scipy.linalg.lu_solve(_factor(system), rhs, check_finite=False)
+    lu, _, sol, _ = dgesv(np.array(system.matrix, order="F"), rhs, overwrite_a=1)
+    scale = np.abs(system.matrix).sum(axis=1).max()  # inf-norm
+    if pivot_check(lu, scale)[1]:
+        raise SingularSystemError(
+            f"saddle system of size {system.n}+{system.p} is numerically singular"
+        )
     return sol[: system.n], sol[system.n :]
 
 
@@ -146,12 +138,12 @@ def _grown(a, shape):
     return out
 
 
-def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
+def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     """Full (non-restarted) GMRES with modified Gram-Schmidt and Givens rotations.
 
-    Solves A x = rhs where apply_a implements v -> A v. If apply_p is given it
-    acts as a right preconditioner: the Krylov iteration runs on A P and the
-    returned x = x0 + P y satisfies the same residual bound. Convergence is
+    Solves A x = rhs where apply_a implements v -> A v; a caller that wants a
+    right preconditioner P passes v -> A P v and maps the answer back through
+    P, as interpolate_preconditioned does. Convergence is
     ||rhs - A x||_2 / ||rhs||_2 <= tol; an exact Krylov breakdown counts as
     convergence. Raises GmresNotConvergedError (carrying the best iterate)
     when maxit is exhausted. The Krylov basis and the Hessenberg matrix start
@@ -168,7 +160,6 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
         return np.zeros(n), GmresReport(0, True, 0.0, [0.0])
 
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
-    op = (lambda v: apply_a(apply_p(v))) if apply_p is not None else apply_a
 
     r0 = b - apply_a(x0)
     beta = float(np.linalg.norm(r0))
@@ -185,11 +176,6 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
     g = np.zeros(cap + 1)
     g[0] = beta
 
-    def assemble(k):
-        y = scipy.linalg.solve_triangular(H[:k, :k], g[:k], check_finite=False)
-        w = Q[:k].T @ y
-        return x0 + (apply_p(w) if apply_p is not None else w)
-
     converged = False
     k = 0
     for j in range(maxit):
@@ -204,7 +190,7 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
             )
         # copy: the operator may hand back its argument (e.g. the identity),
         # and orthogonalization must not write through into Q
-        w = np.array(op(Q[j]), dtype=np.float64)
+        w = np.array(apply_a(Q[j]), dtype=np.float64)
         for i in range(j + 1):
             H[i, j] = Q[i] @ w
             w -= H[i, j] * Q[i]
@@ -231,7 +217,8 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200, apply_p=None):
             converged = True
             break
 
-    x = assemble(k)
+    y = scipy.linalg.solve_triangular(H[:k, :k], g[:k], check_finite=False)
+    x = x0 + Q[:k].T @ y
     report = GmresReport(k, converged, history[-1], history)
     if not converged:
         raise GmresNotConvergedError(x, report)

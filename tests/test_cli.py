@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spherelag import load_nodes
+from spherelag import NodeSet, load_nodes, save_nodes
 from spherelag.cli import main
 
 
@@ -202,6 +202,41 @@ def test_eval_rejects_incomplete_coefficient_files(tmp_path, capsys):
     assert_domain_error(argv, capsys, "missing")
     coeffs.write_text("".join(lines) + "a,7,1.0\n")
     assert_domain_error(argv, capsys, "twice")
+
+
+def test_eval_rejects_coefficients_of_a_mirrored_node_set(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    mirrored = tmp_path / "mirrored.txt"
+    save_nodes(mirrored, NodeSet(-load_nodes(nodes).points))
+    argv = ["eval", "--nodes", str(mirrored), "--coeffs", str(coeffs), "--at", str(nodes)]
+    assert_domain_error(argv, capsys, "different node set")
+
+
+def test_eval_rejects_non_finite_points(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    at = tmp_path / "at.txt"
+    at.write_text("1.0 0.0 0.0\nnan 0 0\n")
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(at)]
+    assert_domain_error(argv, capsys, "line 2")
+
+
+def test_eval_rejects_non_finite_coefficients(tmp_path, capsys):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    lines = coeffs.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("a,5,"))
+    lines[at] = "a,5,nan\n"
+    coeffs.write_text("".join(lines))
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
+    assert_domain_error(argv, capsys, "a index 5 is not finite")
+
+
+def test_solve_rejects_non_finite_data(node_file, basis_file, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    values = np.ones(400)
+    values[9] = np.nan
+    np.savetxt(data, values)
+    argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--data", str(data)]
+    assert_domain_error(argv, capsys, "value 10 is not finite")
 
 
 def test_solve_seed_controls_the_data(node_file, basis_file, tmp_path):

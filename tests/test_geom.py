@@ -198,6 +198,22 @@ def test_nodeset_rejects_bad_shapes_and_norms():
         NodeSet(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5]]))
 
 
+def test_nodeset_rejects_non_finite_rows():
+    # |norm - 1| > tol is False for NaN, so a NaN row must be caught on its own
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = fib(20).points.copy()
+        pts[7, 0] = bad
+        with pytest.raises(ValueError, match="not finite.*row 7"):
+            NodeSet(pts)
+
+
+def test_nodeset_fingerprint_follows_the_point_bytes():
+    ns = fib(200)
+    assert ns.fingerprint() == NodeSet(ns.points.copy()).fingerprint()
+    assert ns.fingerprint() != NodeSet(-ns.points).fingerprint()
+    assert len(ns.fingerprint()) == 64
+
+
 def test_nodeset_from_array_can_normalize():
     ns = NodeSet.from_array([[2.0, 0.0, 0.0], [0.0, 0.0, -5.0]], normalize=True)
     assert np.allclose(ns.points, [[1, 0, 0], [0, 0, -1]], atol=1e-15)
@@ -266,6 +282,14 @@ def test_load_reports_line_number_for_unparsable_value(tmp_path):
     path.write_text("# c\n1.0 0.0 zero\n")
     with pytest.raises(NodeFileError, match="line 2"):
         sl.load_nodes(path)
+
+
+def test_load_reports_line_number_for_non_finite_values(tmp_path):
+    path = tmp_path / "nodes.txt"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"1.0 0.0 0.0\n# c\n{bad} 0 0\n")
+        with pytest.raises(NodeFileError, match="line 3.*finite"):
+            sl.load_nodes(path)
 
 
 def test_load_rejects_zero_rows_and_empty_files(tmp_path):

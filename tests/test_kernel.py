@@ -72,6 +72,50 @@ def test_kernel_values_vectorized_matches_scalar():
     assert np.array_equal(vec, [kernel_values(spec(2), ti) for ti in t])
 
 
+def clipped_kernel_formula(m, t):
+    """k_m of dot products as first written: clip to [-1, 1], then the unfused formula."""
+    s = np.array(t, dtype=np.float64)
+    np.clip(s, -1.0, 1.0, out=s)
+    np.subtract(1.0, s, out=s)
+    near = s < 1e-14
+    np.copyto(s, 1.0, where=near)
+    logs = np.log(s)
+    if m > 2:
+        np.power(s, m - 1, out=s)
+    np.multiply(s, logs, out=s)
+    if m % 2:
+        np.negative(s, out=s)
+    np.copyto(s, 0.0, where=near)
+    return s
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_kernel_values_match_the_clipped_formula_bitwise(m):
+    one = np.nextafter(1.0, [np.inf, -np.inf])
+    minus_one = np.nextafter(-1.0, [np.inf, -np.inf])
+    edges = np.concatenate(
+        [
+            [1.0, -1.0, 1.0 - 1e-15, 1.0 - 1e-13, 0.0, -0.0, 1.5, -1.5, 3.0, -7.0],
+            one,
+            minus_one,
+            [np.inf, -np.inf, np.nan],
+        ]
+    )
+    cases = [
+        edges,
+        np.concatenate([edges, rng(1).uniform(-1.0, 1.0, 303)]).reshape(16, 20),
+        rng(2).uniform(-0.9, 0.9, (7, 9)),  # no coincident pair: the mask is skipped
+        np.ones(40),  # all coincident
+        np.empty(0),
+        np.array(-1.0 - 1e-9),
+    ]
+    for t in cases:
+        got, want = kernel_values(spec(m), t), clipped_kernel_formula(m, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_kernel_sign_alternates_with_order():
     # near the antipode s = 1 - t is close to 2, log s > 0
     assert kernel_values(spec(2), -0.9) > 0.0

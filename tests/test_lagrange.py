@@ -1,20 +1,11 @@
-"""Full Lagrange bases: cardinality, symmetry, native inner products, truncation."""
+"""Full Lagrange bases: cardinality, symmetry, native-space Gram matrix."""
 
 import numpy as np
 import pytest
 
-import spherelag as sl
 from spherelag.kernel import assemble_saddle, harmonic_basis_for, kernel_matrix
-from spherelag.lagrange import (
-    ConstraintViolationError,
-    LagrangeBasis,
-    eval_columns,
-    full_lagrange,
-    gram_discrete,
-    native_inner,
-    truncate_project,
-)
-from spherelag.solver import NonUnisolventError, factor_solve
+from spherelag.lagrange import LagrangeBasis, eval_columns, full_lagrange, gram_discrete
+from spherelag.solver import SaddleSystem, factor_solve
 
 from helpers import fib, full_basis, probes, rng, spec
 
@@ -38,34 +29,22 @@ def test_coefficient_matrix_symmetry():
 
 
 def test_native_inner_recovers_coefficient_entries():
-    # <chi_xi, chi_eta> equals the coefficient A[eta, xi]
+    # <chi_xi, chi_eta> = a_xi^T K a_eta in the native-space semi-inner
+    # product equals the coefficient A[eta, xi]: A is the Gram matrix of the chi's
     basis = full_basis(150)
+    K = kernel_matrix(basis.spec, basis.nodes.points)
     for xi, eta in ((0, 0), (3, 11), (60, 61), (149, 5)):
-        got = native_inner(basis.nodes, basis.spec, basis.A[:, xi], basis.A[:, eta])
+        got = basis.A[:, xi] @ K @ basis.A[:, eta]
         assert got == pytest.approx(basis.A[eta, xi], rel=1e-6, abs=1e-12)
 
 
 def test_native_inner_positive_on_constraint_space():
-    basis = full_basis(150)
-    for xi in (0, 42, 99):
-        a = basis.A[:, xi]
-        assert native_inner(basis.nodes, basis.spec, a, a) > 0.0
-
-
-def test_native_inner_accepts_precomputed_gram():
+    # k_m is conditionally positive definite: a^T K a > 0 for moment-free a
     basis = full_basis(150)
     K = kernel_matrix(basis.spec, basis.nodes.points)
-    a, b = basis.A[:, 1], basis.A[:, 2]
-    with_gram = native_inner(basis.nodes, basis.spec, a, b, kernel_gram=K)
-    without = native_inner(basis.nodes, basis.spec, a, b)
-    assert with_gram == pytest.approx(without, rel=1e-14)
-
-
-def test_native_inner_rejects_unconstrained_vectors():
-    ns = fib(80)
-    v = rng(1).normal(size=80)  # generic vector is not moment-free
-    with pytest.raises(ConstraintViolationError):
-        native_inner(ns, spec(2), v, v)
+    for xi in (0, 42, 99):
+        a = basis.A[:, xi]
+        assert a @ K @ a > 0.0
 
 
 def test_full_basis_size_cap():
@@ -84,8 +63,6 @@ def test_lagrange_functions_invariant_under_harmonic_basis_change():
     M = system.matrix.copy()
     M[:n, n:] = M[:n, n:] @ R
     M[n:, :n] = M[:n, n:].T
-    from spherelag.solver import SaddleSystem
-
     rhs = np.zeros((n + 4, n))
     rhs[:n, :n] = np.eye(n)
     A2, C2 = factor_solve(SaddleSystem(n=n, p=4, matrix=M), rhs)
@@ -113,73 +90,6 @@ def test_coefficient_norm_bounded_by_theta_inverse():
         y = rng(seed).normal(size=90)
         a, _ = factor_solve(system, np.concatenate([y, np.zeros(4)]))
         assert np.linalg.norm(a) <= np.linalg.norm(y) / theta * (1.0 + 1e-10)
-
-
-# ---- truncation ---- #
-
-def test_truncation_with_full_subset_is_identity():
-    basis = full_basis(150)
-    col = truncate_project(basis, 7, np.arange(150))
-    assert np.allclose(col.a, basis.A[:, 7], atol=1e-10)
-    assert np.array_equal(col.poly, basis.C[:, 7])
-
-
-def test_truncated_column_stays_in_constraint_space():
-    basis = full_basis(300)
-    index = sl.build_index(basis.nodes)
-    subset = sl.knn(index, 12, 60)
-    col = truncate_project(basis, 12, subset)
-    phi = harmonic_basis_for(basis.spec).eval(basis.nodes.points[col.support])
-    assert np.abs(phi.T @ col.a).max() < 1e-10
-    assert np.array_equal(col.support, np.unique(subset))
-
-
-def test_truncation_error_decreases_with_growing_subset():
-    basis = full_basis(300)
-    index = sl.build_index(basis.nodes)
-    pr = probes(2000)
-    center = 150
-    reference = eval_columns(basis, pr, cols=[center])[:, 0]
-    errs = []
-    for k in (40, 80, 160, 300):
-        col = truncate_project(basis, center, sl.knn(index, center, k))
-        errs.append(np.abs(col.eval(pr) - reference).max())
-    assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
-    assert errs[-1] < 1e-10  # full subset reproduces the column
-
-
-def test_truncation_correction_is_minimal_norm():
-    # the correction solves min ||delta||_2 s.t. global moments vanish; compare
-    # against the lstsq minimal-norm solution of the same underdetermined system
-    basis = full_basis(200)
-    index = sl.build_index(basis.nodes)
-    center = 50
-    subset = np.unique(sl.knn(index, center, 45))
-    col = truncate_project(basis, center, subset)
-
-    phi = harmonic_basis_for(basis.spec).eval(basis.nodes.points)
-    raw = basis.A[:, center].copy()
-    target = -phi.T @ np.where(np.isin(np.arange(200), subset), raw, 0.0)
-    delta, *_ = np.linalg.lstsq(phi[subset].T, target, rcond=None)
-    assert np.allclose(col.a, raw[subset] + delta, atol=1e-9)
-
-
-def test_truncation_validates_center_membership():
-    basis = full_basis(150)
-    with pytest.raises(ValueError, match="center"):
-        truncate_project(basis, 3, [0, 1, 2, 10, 11, 12])
-
-
-def test_truncation_rejects_degenerate_subsets():
-    # nodes on a common circle cannot determine four harmonic coefficients
-    n = 40
-    angles = 2.0 * np.pi * np.arange(n) / n
-    ring = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
-    extra = fib(60).points
-    pts = sl.NodeSet(np.vstack([ring, extra]))
-    basis = full_lagrange(pts, spec(2))
-    with pytest.raises(NonUnisolventError):
-        truncate_project(basis, 0, np.arange(n))
 
 
 def test_gram_discrete_matches_direct_product():

@@ -163,7 +163,10 @@ def test_grow_on_failure_recovers_from_clustered_rings():
 
 
 def per_stencil_reference(nodes, sp, stencils, grow=None):
-    """Dense A, C, smallest pivot ratio and retried centres from one factor_solve per stencil."""
+    """Dense A, C, smallest pivot ratio and retried centres from one factor_solve per stencil.
+
+    The pivot ratios come from a separate scipy.linalg.lu_factor of each matrix.
+    """
     n = len(nodes)
     A, C = np.zeros((n, n)), np.empty((sp.poly_dim, n))
     ratios, grown = [], []
@@ -224,16 +227,15 @@ def test_batched_build_matches_per_stencil_solves(nodes, m, rule, grow):
     A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow_fn if grow else None)
     basis = build_local_basis(nodes, sp, rule, grow_on_failure=grow)
     assert basis.grown == len(grown) and (len(grown) > 0) == grow
+    # the build and factor_solve both call dgesv: bitwise at any thread count
+    assert np.array_equal(basis.A_sparse.toarray(), A)
+    assert np.array_equal(basis.C, C)
     if max(np.diff(basis.A_sparse.indptr)) < 200:
         # OpenBLAS factors systems this small on one thread at any thread count
-        assert np.array_equal(basis.A_sparse.toarray(), A)
-        assert np.array_equal(basis.C, C)
         assert basis.min_pivot_ratio == ratio
     else:
-        # threaded OpenBLAS takes its parallel LU at other sizes in dgesv than
-        # in getrf, which rounds differently; on one thread these are bitwise too
-        assert np.abs(basis.A_sparse.toarray() - A).max() <= 1e-10 * np.abs(A).max()
-        assert np.abs(basis.C - C).max() <= 1e-10 * np.abs(C).max()
+        # the reference ratio comes from getrf, which threaded OpenBLAS
+        # parallelises at other sizes than dgesv; on one thread it is bitwise too
         assert basis.min_pivot_ratio == pytest.approx(ratio, rel=1e-6)
 
 
@@ -378,6 +380,16 @@ def test_preconditioned_solve_validation():
         interpolate_preconditioned(ns, spec(2), basis, np.zeros(200), x0="guess")
 
 
+def test_preconditioned_solve_rejects_non_finite_data():
+    ns = fib(200)
+    basis = local_basis(200)
+    for bad in (np.nan, np.inf):
+        f = np.zeros(200)
+        f[5] = bad
+        with pytest.raises(ValueError, match="value 5 is not finite"):
+            interpolate_preconditioned(ns, spec(2), basis, f)
+
+
 def test_preconditioned_solve_reports_nonconvergence():
     ns = fib(200)
     f = rng(11).normal(size=200)
@@ -403,8 +415,9 @@ def test_npz_round_trip(tmp_path):
     assert back.footprint == basis.footprint == FootprintRule()
     with np.load(path) as data:
         assert sorted(data.files) == sorted(
-            ["colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n"]
+            ["colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n", "fingerprint"]
         )
+        assert str(data["fingerprint"][0]) == basis.nodes.fingerprint()
 
 
 def test_npz_in_the_earlier_layout_loads(tmp_path):
@@ -514,6 +527,28 @@ def test_npz_rejects_a_harmonic_block_of_the_wrong_shape(tmp_path):
         np.savez(path, **fields)
         with pytest.raises(ValueError, match=r"\(4, 80\)"):
             load_basis(path, basis.nodes, basis.spec)
+
+
+@pytest.mark.parametrize("fmt", ["npz", "csv"])
+def test_load_basis_rejects_another_node_set_of_the_same_size(tmp_path, fmt):
+    basis = local_basis(200)
+    path = tmp_path / f"basis.{fmt}"
+    save_basis(path, basis, fmt=fmt)
+    mirrored = sl.NodeSet(-basis.nodes.points)
+    with pytest.raises(ValueError, match="different node set"):
+        load_basis(path, mirrored, basis.spec)
+    load_basis(path, sl.NodeSet(basis.nodes.points.copy()), basis.spec)  # an equal copy loads
+
+
+def test_csv_without_a_fingerprint_still_loads(tmp_path):
+    basis = local_basis(150)
+    path = tmp_path / "basis.csv"
+    save_basis(path, basis, fmt="csv")
+    text = path.read_text()
+    path.write_text(text.replace(f" fingerprint={basis.nodes.fingerprint()}", ""))
+    assert "fingerprint" not in path.read_text()
+    back = load_basis(path, basis.nodes, basis.spec)
+    assert np.array_equal(back.A_sparse.toarray(), basis.A_sparse.toarray())
 
 
 def test_save_basis_rejects_unknown_format(tmp_path):

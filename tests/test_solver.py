@@ -65,20 +65,25 @@ def test_factor_solve_matches_dense_solve():
     assert a.shape == (20,) and c.shape == (4,)
 
 
-def test_factor_solve_many_rhs_and_caching():
+def test_factor_solve_many_rhs():
     system = random_saddle(15, 4, seed=3)
-    assert system._lu is None
     rhs = rng(4).normal(size=(19, 6))
     a, c = factor_solve(system, rhs)
     assert a.shape == (15, 6) and c.shape == (4, 6)
-    lu_first = system._lu
-    assert lu_first is not None
-    factor_solve(system, rhs[:, 0])
-    assert system._lu is lu_first  # no refactorization
     for j in range(6):
         aj, cj = factor_solve(system, rhs[:, j])
         assert np.allclose(aj, a[:, j], atol=1e-12)
         assert np.allclose(cj, c[:, j], atol=1e-12)
+
+
+def test_factor_solve_solves_the_matrix_not_its_transpose():
+    system = random_saddle(12, 3, seed=7)
+    system.matrix[:12, :12] += np.triu(rng(8).normal(size=(12, 12)), 1)  # not symmetric
+    before = system.matrix.copy()
+    rhs = rng(9).normal(size=15)
+    a, c = factor_solve(system, rhs)
+    assert np.allclose(system.matrix @ np.concatenate([a, c]), rhs, atol=1e-10)
+    assert np.array_equal(system.matrix, before)  # factored on a copy
 
 
 def test_singular_saddle_raises():
@@ -238,13 +243,14 @@ def test_gmres_not_converged_carries_best_iterate():
 
 
 def test_gmres_right_preconditioning_recovers_unpreconditioned_answer():
+    # a right preconditioner is composed by the caller: GMRES on A P, then x = P y
     g = rng(15)
     A = g.normal(size=(20, 20)) + 20 * np.eye(20)
     P = np.diag(1.0 / np.diag(A))
     b = g.normal(size=20)
     x_plain, _ = gmres(lambda v: A @ v, b, tol=1e-12, maxit=80)
-    x_prec, report = gmres(lambda v: A @ v, b, tol=1e-12, maxit=80, apply_p=lambda v: P @ v)
-    assert np.allclose(x_prec, x_plain, atol=1e-8)
+    y, report = gmres(lambda v: A @ (P @ v), b, tol=1e-12, maxit=80)
+    assert np.allclose(P @ y, x_plain, atol=1e-8)
     assert report.converged
 
 
