@@ -323,11 +323,14 @@ def cmd_gram(args, config):
     if args.nodes:
         nodes = load_nodes(args.nodes)
         lon, lat = (float(x) for x in args.cap_center.split(","))
-        center = sphere_point(
-            math.cos(math.radians(lat)) * math.cos(math.radians(lon)),
-            math.cos(math.radians(lat)) * math.sin(math.radians(lon)),
-            math.sin(math.radians(lat)),
-        )
+        try:
+            center = sphere_point(
+                math.cos(math.radians(lat)) * math.cos(math.radians(lon)),
+                math.cos(math.radians(lat)) * math.sin(math.radians(lon)),
+                math.sin(math.radians(lat)),
+            )
+        except ValueError as exc:
+            raise ValueError(f"--cap-center {args.cap_center}: {exc}") from None
         from .geom import geodesic_distance
 
         inside = geodesic_distance(center, nodes.points) <= args.r

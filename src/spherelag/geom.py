@@ -95,8 +95,10 @@ def normalize_rows(arr):
 
 
 def sphere_point(x, y, z):
-    """Single unit vector from coordinates, normalized if needed."""
+    """Single unit vector from finite coordinates, normalized if needed."""
     v = np.array([x, y, z], dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"point ({x}, {y}, {z}) has a non-finite coordinate")
     n = np.linalg.norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")

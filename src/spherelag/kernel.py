@@ -277,28 +277,27 @@ def harmonic_basis_for(spec):
 # ---- system assembly and expansion evaluation ---- #
 
 def assemble_saddle(spec, nodes, subset=None):
-    """Bordered matrix [[K, Phi], [Phi^T, 0]] over a node set or an index subset."""
+    """Bordered matrix [[K, Phi], [Phi^T, 0]] over a node set or an index subset.
+
+    The one-stencil case of assemble_saddle_stack, so a full system and every
+    stencil of the local basis build are assembled by the same operations.
+    """
     pts = nodes.points if hasattr(nodes, "points") else np.asarray(nodes, dtype=np.float64)
     if subset is not None:
         pts = pts[np.asarray(subset, dtype=np.int64)]
     n = pts.shape[0]
-    p = spec.poly_dim
-    K = kernel_matrix(spec, pts)
-    Phi = harmonic_basis_for(spec).eval(pts)
-    M = np.zeros((n + p, n + p))
-    M[:n, :n] = K
-    M[:n, n:] = Phi
-    M[n:, :n] = Phi.T
-    return SaddleSystem(n=n, p=p, matrix=M)
+    phi = harmonic_basis_for(spec).eval(pts)
+    M = assemble_saddle_stack(spec, pts, phi, np.arange(n)[None])[0]
+    return SaddleSystem(n, spec.poly_dim, M)
 
 
 def assemble_saddle_stack(spec, points, phi, stencils):
     """Bordered matrices of a (b, n) stack of stencils into points, shape (b, n+p, n+p).
 
     phi holds the harmonic values at every point. One batched product, one
-    symmetrization and one kernel transform serve the whole stack: the
-    operations of kernel_matrix for n <= 362, so each matrix is bitwise the
-    one assemble_saddle gives for its stencil there.
+    symmetrization and one kernel transform serve the whole stack. The peak
+    memory is about 2.12 x 8 (n+p)^2 bytes per stencil: the matrices, the
+    kernel block and its logarithm, and the near-diagonal mask.
     """
     b, n = stencils.shape
     p = phi.shape[1]
@@ -312,16 +311,13 @@ def assemble_saddle_stack(spec, points, phi, stencils):
     return M
 
 
-def evaluate_expansion(spec, centers, a, c, points, block_size=4096):
+def evaluate_expansion(spec, centers, a, c, points):
     """Evaluate sum_j a_j k(x, centers_j) + sum_k c_k phi_k(x) at many points.
 
     a is (N,) or (N, q) for q expansions sharing centers; c is (p,) or (p, q)
-    with p a square (fixes the harmonic degree). The kernel part is a tiled
-    kernel_sum per block of block_size points, so the (P, N) kernel matrix is
-    never materialized.
+    with p a square (fixes the harmonic degree). The kernel part is one tiled
+    kernel_sum, so the (P, N) kernel matrix is never materialized.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
@@ -331,12 +327,6 @@ def evaluate_expansion(spec, centers, a, c, points, block_size=4096):
     L = int(round(math.sqrt(p))) - 1
     if (L + 1) ** 2 != p:
         raise ValueError(f"polynomial coefficient count {p} is not a square")
-    basis = HarmonicBasis(L)
-
-    out_shape = (pts.shape[0],) if a.ndim == 1 else (pts.shape[0], a.shape[1])
-    out = np.empty(out_shape)
-    for lo in range(0, pts.shape[0], block_size):
-        blk = pts[lo : lo + block_size]
-        out[lo : lo + block_size] = kernel_sum(spec, blk, centers, a)
-        out[lo : lo + block_size] += basis.eval(blk) @ c
+    out = kernel_sum(spec, pts, centers, a)
+    out += HarmonicBasis(L).eval(pts) @ c
     return out[0] if single else out

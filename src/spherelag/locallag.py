@@ -222,9 +222,9 @@ def _cardinal_solves(spec, pts, phi, stencils, offsets, rows, vals):
 
     The centre is the first entry of each row. Chunks of at most KERNEL_TILE**2
     kernel entries, or one stencil, are assembled together, and each system is
-    factored and solved in place by one LAPACK dgesv call, the routine
-    factor_solve calls; for n <= 362 that is bitwise
-    factor_solve(assemble_saddle(...)).
+    factored and solved in place by one LAPACK dgesv call. assemble_saddle
+    and factor_solve use the same assembly and routine, so each column is
+    bitwise factor_solve(assemble_saddle(...)) on its stencil.
     Stencil k goes to rows[offsets[k]:][:n] sorted by node index, with its
     kernel coefficients in vals (zeros where the system is singular).
     Returns the harmonic coefficients (B, p), undefined where singular, and
@@ -266,36 +266,50 @@ def eval_local_function(basis, center_idx, points):
 
 @dataclass
 class QuasiInterpolant:
-    """Q f = sum_xi f(xi) chi_xi, collapsed to one kernel expansion.
+    """Q' f = sum_xi (f - Pi f)(xi) chi_xi + Pi f, collapsed to one kernel expansion.
 
-    The collapse sum_xi f_xi chi_xi = sum_zeta (A f)_zeta k(., zeta) + poly part
-    is algebraically exact, so evaluation is always the full summation.
+    Pi f is the least-squares fit of the node data by the m^2 constraint
+    harmonics. Its coefficients are folded into poly_weights, and the collapse
+    sum_xi g_xi chi_xi = sum_zeta (A g)_zeta k(., zeta) + poly part is
+    algebraically exact, so evaluation is always the full summation.
     """
 
     basis: LocalBasis
     kernel_weights: np.ndarray
     poly_weights: np.ndarray
 
-    def __call__(self, points, block_size=4096):
+    def __call__(self, points):
         return evaluate_expansion(
-            self.basis.spec,
-            self.basis.nodes.points,
-            self.kernel_weights,
-            self.poly_weights,
-            points,
-            block_size=block_size,
+            self.basis.spec, self.basis.nodes.points, self.kernel_weights, self.poly_weights, points
         )
 
 
-def quasi_interpolate(basis, f_values):
-    """Quasi-interpolant of node data; needs no linear solve."""
+def _checked_data(f_values, n):
+    """Node data as a float array; it must hold n finite values."""
     f = np.asarray(f_values, dtype=np.float64)
-    if f.shape != (len(basis.nodes),):
+    if f.shape != (n,):
         raise ValueError("data length does not match the node set")
+    finite = np.isfinite(f)
+    if not finite.all():
+        raise ValueError(f"data value {int(np.argmin(finite))} is not finite")
+    return f
+
+
+def quasi_interpolate(basis, f_values):
+    """Quasi-interpolant Q' f = Q(f - Pi f) + Pi f of node data; needs no linear solve.
+
+    The local functions carry a nearly constant far-field offset, so the plain
+    Q f = sum_xi f(xi) chi_xi is off even for f = 1. Q' reproduces the constraint
+    harmonics exactly (docs/decisions.md).
+    """
+    f = _checked_data(f_values, len(basis.nodes))
+    phi = harmonic_basis_for(basis.spec).eval(basis.nodes.points)
+    beta = np.linalg.lstsq(phi, f, rcond=None)[0]
+    g = f - phi @ beta
     return QuasiInterpolant(
         basis=basis,
-        kernel_weights=spmv(basis.A_sparse, f),
-        poly_weights=basis.C @ f,
+        kernel_weights=spmv(basis.A_sparse, g),
+        poly_weights=basis.C @ g + beta,
     )
 
 
@@ -341,13 +355,7 @@ def interpolate_preconditioned(
     recovered through the basis, a = A_sparse v, c = C v, and the report carries
     the relative sup-norm residual of the recovered interpolant as final_check.
     """
-    f = np.asarray(f_values, dtype=np.float64)
-    n = len(nodes)
-    if f.shape != (n,):
-        raise ValueError("data length does not match the node set")
-    finite = np.isfinite(f)
-    if not finite.all():
-        raise ValueError(f"data value {int(np.argmin(finite))} is not finite")
+    f = _checked_data(f_values, len(nodes))
     if basis.nodes is not nodes and not np.array_equal(basis.nodes.points, nodes.points):
         raise ValueError("basis was built for a different node set")
     if x0 not in ("data", "zero"):

@@ -20,7 +20,7 @@ LEAF_SIZE = 16
 # Extra candidates fetched beyond k so boundary ties cannot drop a true neighbor.
 _TIE_PAD = 16
 
-# Candidates knn_all re-ranks in one vectorized step. Its temporaries take
+# Candidates _nearest re-ranks in one vectorized step. Its temporaries take
 # about 48 bytes per candidate, 1.5 MiB per block, where all of them at once
 # would add 84 MB at N = 12962, k = 119.
 _RERANK_BLOCK = 1 << 15
@@ -41,11 +41,30 @@ def build_index(nodes):
     return NeighborIndex(pts, cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True))
 
 
-def _rank(points, center, candidates):
-    """Order candidate indices by (squared chord to center, index)."""
-    diff = points[candidates] - center
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return candidates[np.lexsort((candidates, d2))]
+def _nearest(index, centres, k):
+    """Row i: the k nearest nodes to node centres[i], ranked by (squared chord, index).
+
+    One tree query fetches k + _TIE_PAD candidates per centre; they are
+    re-ranked in blocks of about _RERANK_BLOCK candidates.
+    """
+    n = len(index)
+    k = int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    pts = index.points
+    kq = min(n, k + _TIE_PAD)
+    _, cand = index.tree.query(pts[centres], k=kq)
+    cand = np.asarray(cand, dtype=np.int64).reshape(len(centres), kq)
+    out = np.empty((len(centres), k), dtype=np.int64)
+    step = max(1, _RERANK_BLOCK // kq)
+    for lo in range(0, len(centres), step):
+        rows = cand[lo : lo + step]
+        diff = pts[rows]
+        diff -= pts[centres[lo : lo + step], None]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        order = np.lexsort((rows, d2), axis=-1)[:, :k]
+        out[lo : lo + step] = np.take_along_axis(rows, order, axis=-1)
+    return out
 
 
 def knn(index, center_idx, k):
@@ -53,40 +72,12 @@ def knn(index, center_idx, k):
 
     Ascending geodesic distance, ties broken by ascending node index.
     """
-    n = len(index)
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    center = index.points[center_idx]
-    if k + _TIE_PAD >= n:
-        cand = np.arange(n)
-    else:
-        _, cand = index.tree.query(center, k=k + _TIE_PAD)
-    return _rank(index.points, center, np.asarray(cand, dtype=np.int64))[:k]
+    return _nearest(index, np.array([center_idx], dtype=np.int64), k)[0]
 
 
 def knn_all(index, k):
     """Row i holds knn(index, i, k); one vectorized tree query for all centers."""
-    n = len(index)
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    kq = min(n, k + _TIE_PAD)
-    _, cand = index.tree.query(index.points, k=kq)
-    cand = np.asarray(cand, dtype=np.int64)
-    if cand.ndim == 1:
-        cand = cand[:, None]
-    out = np.empty((n, k), dtype=np.int64)
-    pts = index.points
-    step = max(1, _RERANK_BLOCK // kq)
-    for lo in range(0, n, step):
-        rows = cand[lo : lo + step]
-        diff = pts[rows]
-        diff -= pts[lo : lo + step, None]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.lexsort((rows, d2), axis=-1)[:, :k]
-        out[lo : lo + step] = np.take_along_axis(rows, order, axis=-1)
-    return out
+    return _nearest(index, np.arange(len(index)), k)
 
 
 def ball(index, center, r):

@@ -354,6 +354,12 @@ def test_gram_domain_error(capsys):
     assert "cap radius" in capsys.readouterr().err
 
 
+def test_gram_rejects_a_non_finite_cap_centre(node_file, capsys):
+    assert main(["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", "nan,0"]) == 1
+    err = capsys.readouterr().err
+    assert "--cap-center nan,0" in err and "non-finite" in err
+
+
 def test_study_decay(node_file, tmp_path):
     out = tmp_path / "decay.csv"
     assert main(["study", "decay", "--nodes", str(node_file), "--out", str(out)]) == 0

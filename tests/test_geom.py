@@ -184,6 +184,12 @@ def test_sphere_point_normalizes():
         sphere_point(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("coords", [(np.nan, 0.0, 1.0), (0.0, np.inf, 0.0), (1.0, 0.0, -np.inf)])
+def test_sphere_point_rejects_non_finite_coordinates(coords):
+    with pytest.raises(ValueError, match="non-finite"):
+        sphere_point(*coords)
+
+
 def test_normalize_rows_rejects_zero():
     with pytest.raises(ValueError):
         normalize_rows(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))

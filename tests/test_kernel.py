@@ -211,6 +211,15 @@ def test_kernel_matrix_memory_is_the_matrix_plus_one_tile():
     assert traced_peak(lambda: kernel_matrix(spec(2), pts)) <= 1.25 * 8 * n * n
 
 
+def test_full_saddle_memory_is_two_systems():
+    # the bordered matrix, the kernel block and its logarithm, and the mask:
+    # about 2.12 x 8 (N+p)^2 bytes at N = 3000
+    n = 3000
+    pts = random_unit_points(n, seed=9)
+    size = n + spec(2).poly_dim
+    assert traced_peak(lambda: assemble_saddle(spec(2), pts)) <= 2.2 * 8 * size * size
+
+
 def test_cached_operator_memory_is_its_upper_tiles():
     # 0.542 x 8 N^2 bytes of upper-triangle tiles at N = 3000, plus one tile
     n = 3000
@@ -348,27 +357,16 @@ def test_saddle_solve_reproduces_harmonic_data(m):
 def test_evaluate_expansion_matches_dense_oracle():
     centers = fib(70).points
     g = rng(17)
-    a = g.normal(size=70)
-    c = g.normal(size=4)
     points = random_unit_points(130, seed=18)
     K = kernel_matrix(spec(2), points, centers)
     phi = HarmonicBasis(1).eval(points)
-    expected = K @ a + phi @ c
-    got = evaluate_expansion(spec(2), centers, a, c, points)
-    assert np.allclose(got, expected, atol=1e-13)
-
-
-def test_evaluate_expansion_blocking_invariance():
-    centers = fib(40).points
-    g = rng(19)
-    a = g.normal(size=(40, 3))
-    c = g.normal(size=(4, 3))
-    points = random_unit_points(900, seed=20)
-    full = evaluate_expansion(spec(2), centers, a, c, points, block_size=10_000)
-    tiny = evaluate_expansion(spec(2), centers, a, c, points, block_size=17)
-    # block shape steers BLAS accumulation order; equality holds to rounding
-    assert np.allclose(full, tiny, atol=1e-12)
-    assert full.shape == (900, 3)
+    # one expansion, and three sharing the centres
+    for shape in ((), (3,)):
+        a = g.normal(size=(70,) + shape)
+        c = g.normal(size=(4,) + shape)
+        got = evaluate_expansion(spec(2), centers, a, c, points)
+        assert got.shape == (130,) + shape
+        assert np.allclose(got, K @ a + phi @ c, atol=1e-13)
 
 
 def test_evaluate_expansion_single_point_and_bad_poly_count():
