@@ -12,13 +12,15 @@ essentially independent of N.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dgesv
 
+from . import solver
 from .geom import NodeSet, ensure_stats
 from .kernel import (
     KERNEL_TILE,
@@ -30,7 +32,7 @@ from .kernel import (
     kernel_sum,
     kernel_tiles,
 )
-from .solver import gmres, pivot_check, spmv, validated_csc
+from .solver import gmres, lu_solve, one_blas_thread, pivot_check, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
@@ -42,6 +44,10 @@ MAX_NODES = 200_000
 # 431 MB at 10242 and 589 MB at 12000. Beyond the limit the matrix never
 # exists in full.
 MATERIALIZE_LIMIT = 12_000
+
+# Stencils a build holds as query results at once, before their 32-bit copy:
+# all 2562 radius stencils of about 300 nodes at once took 6.4 MB.
+_QUERY_BLOCK = 256
 
 
 class StencilFailureError(RuntimeError):
@@ -148,51 +154,42 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
     pts = nodes.points
     index = build_index(nodes)
 
+    # The queried stencils, in centre order, become the CSC row indices; the
+    # query results are dropped before the coefficients are allocated.
+    centres = np.arange(n)
     if footprint.mode == "count":
         n_sten = footprint.stencil_count(n, spec.m)
-        groups = [(np.arange(n), knn_all(index, n_sten))]
+        start, rows = _stencil_layout(n, centres, knn_all(index, n_sten))
         grow = lambda i: knn(index, i, min(n, 2 * n_sten))
     else:
         stats = ensure_stats(nodes)
         r = footprint.stencil_radius(stats.h)
-        groups = _equal_size_groups([ball(index, pts[i], r) for i in range(n)])
+        start, rows = _stencil_layout(n, centres, (ball(index, pts[i], r) for i in range(n)))
         grow = lambda i: ball(index, pts[i], 2 * r)
 
     phi = harmonic_basis_for(spec).eval(pts)
     C = np.empty((spec.poly_dim, n))
     ratio = np.empty(n)
 
-    def solve(centres, groups):
-        """Columns of centres from their (positions, stencils) groups, and the failures.
+    def solve(centres, start, rows):
+        """Columns of centres from their stencils as a CSC array, and the singular centres.
 
-        The columns come as a CSC array in which a centre whose system is
-        singular has an empty column; those centres are returned in order.
+        A centre whose system is singular has an empty column; those centres
+        are returned in order.
         """
-        counts = np.zeros(n, dtype=np.int64)
-        for group, stencils in groups:
-            counts[centres[group]] = len(stencils[0])
-        start = np.concatenate([[0], np.cumsum(counts)])
-        # 32-bit indices while they fit: a quarter less memory per stored entry
-        start = start.astype(np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64)
-        rows, vals = np.empty(start[-1], dtype=start.dtype), np.empty(start[-1])
-        failed = []
-        for group, stencils in groups:
-            cen = centres[group]
-            c, r, singular = _cardinal_solves(spec, pts, phi, stencils, start[cen], rows, vals)
-            C[:, cen[~singular]] = c[~singular].T
-            ratio[cen[~singular]] = r[~singular]
-            failed.append(cen[singular])
+        vals = np.empty(rows.size)
+        failed = _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio)
         keep = vals != 0.0  # exact zeros, and the columns of failed centres, are not stored
         if not keep.all():
             start = np.concatenate([[0], np.cumsum(keep, dtype=start.dtype)])[start]
             rows, vals = rows[keep], vals[keep]
-        return validated_csc((n, n), start, rows, vals), np.sort(np.concatenate(failed))
+        return validated_csc((n, n), start, rows, vals), failed
 
-    A, failed = solve(np.arange(n), groups)
+    A, failed = solve(centres, start, rows)
     grown = 0
     if failed.size and grow_on_failure:
         grown = int(failed.size)
-        retried, failed = solve(failed, _equal_size_groups([grow(i) for i in failed]))
+        retried, failed = solve(failed, *_stencil_layout(n, failed, [grow(i) for i in failed]))
         A = A + retried  # the retried columns are empty in A and the only ones in retried
     if failed.size:
         raise StencilFailureError(failed.tolist())
@@ -207,52 +204,119 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
     )
 
 
-def _equal_size_groups(stencils):
-    """(positions, list of the stencils) for each stencil size in a list of stencils."""
-    sizes = np.array([s.size for s in stencils])
-    groups = []
-    for size in np.unique(sizes):
-        pos = np.flatnonzero(sizes == size)
-        groups.append((pos, [stencils[k] for k in pos]))
-    return groups
+def _stencil_layout(n, centres, stencils):
+    """(start, rows): the stencils of ascending centres, concatenated as CSC row indices.
 
-
-def _cardinal_solves(spec, pts, phi, stencils, offsets, rows, vals):
-    """Cardinal solutions of the bordered systems of B stencils of n nodes each.
-
-    The centre is the first entry of each row. Chunks of at most KERNEL_TILE**2
-    kernel entries, or one stencil, are assembled together, and each system is
-    factored and solved in place by one LAPACK dgesv call. assemble_saddle
-    and factor_solve use the same assembly and routine, so each column is
-    bitwise factor_solve(assemble_saddle(...)) on its stencil.
-    Stencil k goes to rows[offsets[k]:][:n] sorted by node index, with its
-    kernel coefficients in vals (zeros where the system is singular).
-    Returns the harmonic coefficients (B, p), undefined where singular, and
-    the pivot ratios and singular flags of pivot_check, (B,) each.
+    Column i of an n-column CSC array spans rows[start[i]:start[i + 1]], which
+    is empty unless i is a centre. Both are 32-bit while the count fits. The
+    stencils come one per centre, as the rows of one array or as an iterable
+    consumed _QUERY_BLOCK at a time, of which only a 32-bit copy is kept.
     """
-    B, n = len(stencils), len(stencils[0])
-    c = np.empty((B, spec.poly_dim))
-    ratio, singular = np.empty(B), np.empty(B, dtype=bool)
-    rhs = np.zeros((n + spec.poly_dim, 1))
-    rhs[0] = 1.0
-    step = max(1, KERNEL_TILE**2 // n**2)
-    for lo in range(0, B, step):
-        chunk = np.asarray(stencils[lo : lo + step])
-        hi = lo + len(chunk)
-        stack = assemble_saddle_stack(spec, pts, phi, chunk)
-        scales = np.abs(stack).sum(axis=2).max(axis=1)  # inf-norms
-        x = np.empty((len(chunk), n + spec.poly_dim))
+    if isinstance(stencils, np.ndarray):
+        sizes, blocks = [stencils.shape[1]] * len(stencils), [stencils.ravel()]
+    else:
+        sizes, blocks = [], []
+        stencils = iter(stencils)
+        while block := list(itertools.islice(stencils, _QUERY_BLOCK)):
+            sizes += [len(s) for s in block]
+            blocks.append(np.concatenate(block, dtype=np.int32))
+    counts = np.zeros(n, dtype=np.int64)
+    counts[centres] = sizes
+    start = np.concatenate([[0], np.cumsum(counts)])
+    dtype = np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64
+    return start.astype(dtype), np.concatenate(blocks, dtype=dtype)
+
+
+def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
+    """Cardinal solutions of the bordered systems of centres; returns the singular ones.
+
+    Centre i's stencil is rows[start[i]:start[i + 1]], with the centre first.
+    Stencils of equal size are assembled together in chunks of at most
+    KERNEL_TILE**2 kernel entries, or one stencil, and each system is factored
+    and solved in place by lu_solve. assemble_saddle and factor_solve use the
+    same assembly and route, so each column is bitwise
+    factor_solve(assemble_saddle(...)) on its stencil. The chunks are shared
+    among solver.WORKERS threads inside one_blas_thread(), or solved on this
+    thread alone if no OpenBLAS was found; each chunk writes only its own
+    centres' entries. After its solve a stencil is sorted in place, and its
+    kernel coefficients go to the same positions of vals (zeros where the
+    system is singular). C and ratio receive the harmonic coefficients and
+    pivot ratios of pivot_check; both are undefined at singular centres.
+    """
+    p = spec.poly_dim
+    sizes = start[centres + 1] - start[centres]
+    chunks = []
+    for size in np.unique(sizes):
+        same = centres[sizes == size]
+        step = max(1, KERNEL_TILE**2 // int(size) ** 2)
+        chunks += [same[lo : lo + step] for lo in range(0, len(same), step)]
+    singular = np.zeros(len(pts), dtype=bool)
+
+    def solve_chunk(cen):
+        n = int(start[cen[0] + 1] - start[cen[0]])
+        at = start[cen, None] + np.arange(n)
+        stencils = rows[at]
+        stack = assemble_saddle_stack(spec, pts, phi, stencils)
+        rhs = np.zeros(n + p)
+        rhs[0] = 1.0
+        x = np.empty((len(cen), n + p))
+        scales = np.empty(len(cen))
         for k, M in enumerate(stack):
-            # M is symmetric, so M.T is the Fortran-ordered M that dgesv overwrites
-            x[k] = dgesv(M.T, rhs, overwrite_a=1)[2][:, 0]
-        ratio[lo:hi], singular[lo:hi] = pivot_check(stack, scales)  # stack holds the LUs
-        x[singular[lo:hi], :n] = 0.0
-        order = np.argsort(chunk, axis=1)
-        at = offsets[lo:hi, None] + np.arange(n)
-        rows[at] = np.take_along_axis(chunk, order, axis=1)
+            scales[k] = np.abs(M).sum(axis=1).max()  # inf-norm, before M holds its LU
+            # M is symmetric, so M.T is the Fortran-ordered M that lu_solve overwrites
+            x[k] = lu_solve(M.T, rhs)[1]
+        ratio[cen], singular[cen] = pivot_check(stack, scales)
+        x[singular[cen], :n] = 0.0
+        order = np.argsort(stencils, axis=1)
+        rows[at] = np.take_along_axis(stencils, order, axis=1)
         vals[at] = np.take_along_axis(x[:, :n], order, axis=1)
-        c[lo:hi] = x[:, n:]
-    return c, ratio, singular
+        C[:, cen] = x[:, n:].T
+
+    with one_blas_thread() as found:
+        _on_workers(solve_chunk, chunks, solver.WORKERS if found else 1)
+    return np.flatnonzero(singular)
+
+
+def _on_workers(task, items, workers):
+    """task(item) for every item, on this thread and workers - 1 helper threads.
+
+    All of them take items from one shared iterator. The first error stops
+    every worker after its current item and is raised here; every helper has
+    ended when this returns or raises.
+    """
+    todo = iter(items)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def drain():
+        try:
+            while not stop.is_set():
+                with lock:
+                    item = next(todo, None)
+                if item is None:
+                    return
+                task(item)
+        except BaseException:
+            stop.set()
+            raise
+
+    def helper():
+        try:
+            drain()
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, daemon=True) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def eval_local_function(basis, center_idx, points):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import solver
 from .geom import NodeSet, geodesic_distance
 
 LEAF_SIZE = 16
@@ -44,8 +45,8 @@ def build_index(nodes):
 def _nearest(index, centres, k):
     """Row i: the k nearest nodes to node centres[i], ranked by (squared chord, index).
 
-    One tree query fetches k + _TIE_PAD candidates per centre; they are
-    re-ranked in blocks of about _RERANK_BLOCK candidates.
+    One tree query on solver.WORKERS threads fetches k + _TIE_PAD candidates
+    per centre; they are re-ranked in blocks of about _RERANK_BLOCK candidates.
     """
     n = len(index)
     k = int(k)
@@ -53,7 +54,7 @@ def _nearest(index, centres, k):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     pts = index.points
     kq = min(n, k + _TIE_PAD)
-    _, cand = index.tree.query(pts[centres], k=kq)
+    _, cand = index.tree.query(pts[centres], k=kq, workers=solver.WORKERS)
     cand = np.asarray(cand, dtype=np.int64).reshape(len(centres), kq)
     out = np.empty((len(centres), k), dtype=np.int64)
     step = max(1, _RERANK_BLOCK // kq)

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 PIVOT_RTOL = 1e-14
+
+# Threads the stencil solves of a local basis build and the bulk k-nearest
+# query run on: one per core this process may use.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -30,6 +39,79 @@ class GmresNotConvergedError(RuntimeError):
         )
         self.x = x
         self.report = report
+
+
+# ---- one BLAS thread ---- #
+
+# Thread-count functions of the OpenBLAS that numpy's wheel bundles
+# (libscipy_openblas64_) and of the one SciPy's wheel bundles
+# (libscipy_openblas).
+_OPENBLAS_THREAD_NAMES = [
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+]
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    The libraries are found by name in /proc/self/maps; where that file does not
+    exist the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            }
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this returns its handle
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_NAMES:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+_pin_lock = threading.Lock()
+_pin = {"open": 0, "saved": []}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold every OpenBLAS in the process to one thread; yields whether any was found.
+
+    Threaded OpenBLAS slows the small LU factorizations of the build, and several
+    threads calling it at once slow each other further. Scopes may nest and may
+    be open in several threads at once: the first to open saves each library's
+    thread count, and the last to close restores it, on error too.
+    """
+    controls = _openblas_thread_controls()
+    with _pin_lock:
+        if _pin["open"] == 0:
+            _pin["saved"] = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _pin["open"] += 1
+    try:
+        yield bool(controls)
+    finally:
+        with _pin_lock:
+            _pin["open"] -= 1
+            if _pin["open"] == 0:
+                for (_, set_), count in zip(controls, _pin["saved"]):
+                    set_(count)
 
 
 # ---- dense saddle systems ---- #
@@ -60,13 +142,25 @@ def pivot_check(lu, scale):
     return smallest / scale, smallest <= PIVOT_RTOL * scale
 
 
+def lu_solve(a, rhs):
+    """(LU factor, solution) of a x = rhs: LAPACK getrf, then getrs.
+
+    A Fortran-ordered float64 a is factored in place, so a holds the factor
+    afterwards. The local basis build and factor_solve both solve through
+    here, inside one_blas_thread(): on one thread the result is bitwise that
+    of dgesv, which makes the same two calls.
+    """
+    lu, piv, _ = dgetrf(a, overwrite_a=1)
+    return lu, dgetrs(lu, piv, rhs)[0]
+
+
 def factor_solve(system, rhs):
     """Solve the bordered system for one or many right-hand sides.
 
     rhs has length n+p (trailing p entries zero for plain interpolation data);
     columns are independent problems. Returns (a, c) = (kernel coefficients,
-    polynomial coefficients). One LAPACK dgesv call, the routine the local
-    basis build uses, factors a copy of the matrix and solves; a pivot at or
+    polynomial coefficients). lu_solve factors a copy of the matrix on one
+    BLAS thread and solves, as the local basis build does; a pivot at or
     below PIVOT_RTOL * ||M||_inf raises SingularSystemError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -74,7 +168,8 @@ def factor_solve(system, rhs):
         raise ValueError(
             f"rhs length {rhs.shape[0]} does not match system size {system.n + system.p}"
         )
-    lu, _, sol, _ = dgesv(np.array(system.matrix, order="F"), rhs, overwrite_a=1)
+    with one_blas_thread():
+        lu, sol = lu_solve(np.array(system.matrix, order="F"), rhs)
     scale = np.abs(system.matrix).sum(axis=1).max()  # inf-norm
     if pivot_check(lu, scale)[1]:
         raise SingularSystemError(

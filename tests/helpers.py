@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 import spherelag as sl
+from spherelag.solver import _openblas_thread_controls
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +42,11 @@ def local_basis(n, m=2, fixed_n=None):
 @lru_cache(maxsize=None)
 def probes(n=2000):
     return sl.probe_sequence(n)
+
+
+def blas_thread_counts():
+    """The thread count of every OpenBLAS loaded in the process."""
+    return [get() for get, _ in _openblas_thread_controls()]
 
 
 def rng(seed=0):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import spherelag as sl
 from spherelag.geom import (
@@ -242,6 +243,13 @@ def test_fill_estimate_monotone_in_probe_count():
     h2 = mesh_stats(ns, probe_n=40_000).h
     assert h2 >= h1
     assert h2 <= h1 * 1.2  # and the estimate has essentially converged
+
+
+def test_fill_estimate_is_one_query_over_all_probes():
+    # 150000 probes span three of the blocks mesh_stats queries them in
+    ns = fib(300)
+    chord = cKDTree(ns.points).query(sl.probe_sequence(150_000), k=1)[0].max()
+    assert mesh_stats(ns, probe_n=150_000).h == 2.0 * np.arcsin(chord / 2.0)
 
 
 def test_ensure_stats_caches():

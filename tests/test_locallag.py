@@ -1,5 +1,8 @@
 """Local Lagrange bases, quasi-interpolation, and the preconditioned solver."""
 
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import scipy.linalg
 
 import spherelag as sl
 import spherelag.locallag as locallag
+import spherelag.solver as solver
 from spherelag.kernel import assemble_saddle, eval_kernel, harmonic_basis_for
 from spherelag.lagrange import eval_columns
 from spherelag.locallag import (
@@ -29,7 +33,7 @@ from spherelag.solver import (
     factor_solve,
 )
 
-from helpers import fib, full_basis, local_basis, probes, rng, spec
+from helpers import blas_thread_counts, fib, full_basis, local_basis, probes, rng, spec
 
 
 def column(A, j):
@@ -201,17 +205,16 @@ def clustered_ring_in_the_middle():
     return sl.NodeSet(np.vstack([keep[:20], ring_nodes(30, np.cos(0.05)), keep[20:]]))
 
 
-@pytest.mark.parametrize(
-    "nodes, m, rule, grow",
-    [
-        (lambda: fib(900), 2, FootprintRule(), False),
-        (lambda: fib(400), 2, FootprintRule(mode="radius", M=2.0), False),
-        (lambda: fib(900), 3, FootprintRule(), False),
-        (lambda: fib(500), 2, FootprintRule(fixed_n=400), False),
-        (clustered_ring_in_the_middle, 2, FootprintRule(), True),
-    ],
-    ids=["count", "radius", "m3", "fixed400", "grown"],
-)
+BUILD_CASES = {
+    "count": (lambda: fib(900), 2, FootprintRule(), False),
+    "radius": (lambda: fib(400), 2, FootprintRule(mode="radius", M=2.0), False),
+    "m3": (lambda: fib(900), 3, FootprintRule(), False),
+    "fixed400": (lambda: fib(500), 2, FootprintRule(fixed_n=400), False),
+    "grown": (clustered_ring_in_the_middle, 2, FootprintRule(), True),
+}
+
+
+@pytest.mark.parametrize("nodes, m, rule, grow", list(BUILD_CASES.values()), ids=list(BUILD_CASES))
 def test_batched_build_matches_per_stencil_solves(nodes, m, rule, grow):
     nodes, sp = nodes(), spec(m)
     index = sl.build_index(nodes)
@@ -227,30 +230,113 @@ def test_batched_build_matches_per_stencil_solves(nodes, m, rule, grow):
     A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow_fn if grow else None)
     basis = build_local_basis(nodes, sp, rule, grow_on_failure=grow)
     assert basis.grown == len(grown) and (len(grown) > 0) == grow
-    # the build and factor_solve both call dgesv: bitwise at any thread count
+    # the build and factor_solve both factor through lu_solve on one BLAS
+    # thread: bitwise at any thread count
     assert np.array_equal(basis.A_sparse.toarray(), A)
     assert np.array_equal(basis.C, C)
     if max(np.diff(basis.A_sparse.indptr)) < 200:
         # OpenBLAS factors systems this small on one thread at any thread count
         assert basis.min_pivot_ratio == ratio
     else:
-        # the reference ratio comes from getrf, which threaded OpenBLAS
-        # parallelises at other sizes than dgesv; on one thread it is bitwise too
+        # the reference ratio comes from lu_factor's getrf outside the one-thread
+        # scope, which threaded OpenBLAS parallelises at this size; on one
+        # thread it is bitwise too
         assert basis.min_pivot_ratio == pytest.approx(ratio, rel=1e-6)
 
 
-def test_build_memory_stays_near_the_result():
-    # one bordered stack for all N = 2562 stencils would take 159 MB
-    nodes = fib(2562)
+def assert_same_basis(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.A_sparse, name), getattr(b.A_sparse, name))
+    assert np.array_equal(a.C, b.C)
+    assert (a.min_pivot_ratio, a.grown) == (b.min_pivot_ratio, b.grown)
+
+
+@pytest.mark.parametrize("case", ["count", "radius", "fixed400", "grown"])
+def test_pooled_build_is_bitwise_the_one_worker_build(monkeypatch, case):
+    make, m, rule, grow = BUILD_CASES[case]
+    nodes = make()
+    builds = []
+    for workers in (1, 2):
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        builds.append(build_local_basis(nodes, spec(m), rule, grow_on_failure=grow))
+    assert_same_basis(*builds)
+
+
+def test_pool_with_more_workers_than_cores_loses_no_chunk(monkeypatch):
+    nodes, rule = fib(400), FootprintRule(mode="radius", M=2.0)
+    monkeypatch.setattr(solver, "WORKERS", 1)
+    one = build_local_basis(nodes, spec(2), rule)
+    threads = set()
+    assemble = locallag.assemble_saddle_stack
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return assemble(*args)
+
+    monkeypatch.setattr(locallag, "assemble_saddle_stack", recording)
+    monkeypatch.setattr(solver, "WORKERS", 4)
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(basis=build_local_basis(nodes, spec(2), rule)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert_same_basis(one, out["basis"])
+    assert len(threads) > 1 or not solver._openblas_thread_controls()
+
+
+def test_build_restores_blas_threads_and_stops_its_pool_on_error(monkeypatch):
+    before, threads_before = blas_thread_counts(), threading.active_count()
+    during, calls, fail_at = [], itertools.count(), None
+    assemble = locallag.assemble_saddle_stack
+
+    def failing(*args):
+        during.append(blas_thread_counts())
+        if next(calls) == fail_at:
+            raise RuntimeError(f"chunk {fail_at} failed")
+        return assemble(*args)
+
+    monkeypatch.setattr(locallag, "assemble_saddle_stack", failing)
+    monkeypatch.setattr(solver, "WORKERS", 2)
+    build_local_basis(fib(200), spec(2))
+    assert blas_thread_counts() == before
+    calls, fail_at = itertools.count(), 5
+    with pytest.raises(RuntimeError, match="chunk 5 failed"):
+        build_local_basis(fib(900), spec(2))
+    assert blas_thread_counts() == before
+    assert threading.active_count() == threads_before
+    assert during and all(counts == [1] * len(before) for counts in during)
+
+
+def build_peak_and_result(nodes, rule=None):
+    """(traced peak bytes of the build, bytes of the basis it returns)."""
     tracemalloc.start()
     try:
-        basis = build_local_basis(nodes, spec(2))
+        basis = build_local_basis(nodes, spec(2), rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     A = basis.A_sparse
-    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + basis.C.nbytes
+    return peak, A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + basis.C.nbytes
+
+
+def test_build_memory_stays_near_the_result():
+    # one bordered stack for all N = 2562 stencils would take 159 MB
+    peak, result = build_peak_and_result(fib(2562))
     assert peak < result + 8 * 2**20
+
+
+def test_radius_build_memory_stays_near_the_result(monkeypatch):
+    # stencils of about 300 nodes; their int64 query results all at once would
+    # take 6 MB, and each worker holds about 2 MB of its own while it solves one
+    monkeypatch.setattr(solver, "WORKERS", 2)
+    nodes = sl.NodeSet(fib(2562).points)  # no cached mesh statistics
+    peak, result = build_peak_and_result(nodes, FootprintRule(mode="radius", M=4.5))
+    assert peak <= result + 4 * 2**20
 
 
 def test_radius_mode_builds_variable_stencils():

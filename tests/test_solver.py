@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 import spherelag as sl
 from spherelag.solver import (
@@ -10,12 +11,13 @@ from spherelag.solver import (
     SingularSystemError,
     factor_solve,
     gmres,
+    one_blas_thread,
     spmv,
     sym_eig_minmax,
     validated_csc,
 )
 
-from helpers import rng
+from helpers import blas_thread_counts, rng
 
 
 def random_saddle(n, p, seed=0):
@@ -84,6 +86,33 @@ def test_factor_solve_solves_the_matrix_not_its_transpose():
     a, c = factor_solve(system, rhs)
     assert np.allclose(system.matrix @ np.concatenate([a, c]), rhs, atol=1e-10)
     assert np.array_equal(system.matrix, before)  # factored on a copy
+
+
+@pytest.mark.parametrize("n", [119, 300, 845])
+def test_factor_solve_is_bitwise_dgesv_on_one_blas_thread(n):
+    system = random_saddle(n, 4, seed=n)
+    rhs = np.zeros(n + 4)
+    rhs[0] = 1.0
+    a, c = factor_solve(system, rhs)
+    with one_blas_thread():
+        sol = dgesv(np.array(system.matrix, order="F"), rhs)[2]
+    assert np.array_equal(np.concatenate([a, c]), sol)
+
+
+def test_one_blas_thread_nests_and_restores_every_count():
+    before = blas_thread_counts()
+    with pytest.raises(RuntimeError, match="inner"):
+        with one_blas_thread() as found:
+            assert found == bool(before)
+            with one_blas_thread():
+                assert blas_thread_counts() == [1] * len(before)
+                raise RuntimeError("inner")
+    assert blas_thread_counts() == before
+    with one_blas_thread():
+        with one_blas_thread():
+            pass
+        assert blas_thread_counts() == [1] * len(before)  # the outer scope still holds
+    assert blas_thread_counts() == before
 
 
 def test_singular_saddle_raises():
