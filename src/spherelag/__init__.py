@@ -17,7 +17,7 @@ from .geom import (
     save_nodes,
     sphere_point,
 )
-from .neighbors import NeighborIndex, ball, build_index, knn, knn_all
+from .neighbors import ball, build_index, knn, knn_all
 from .kernel import (
     HarmonicBasis,
     KernelSpec,

@@ -268,10 +268,12 @@ def _parse_grid(text):
     if not text.startswith("grid:"):
         return None
     try:
-        n_lat, n_lon = text[5:].split("x")
-        return int(n_lat), int(n_lon)
+        n_lat, n_lon = (int(side) for side in text[5:].split("x"))
     except ValueError:
         raise ValueError(f"bad grid spec {text!r}, expected grid:NLATxNLON") from None
+    if n_lat < 1 or n_lon < 1:
+        raise ValueError(f"bad grid spec {text!r}: each side must be at least 1")
+    return n_lat, n_lon
 
 
 def cmd_eval(args, config):

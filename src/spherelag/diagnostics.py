@@ -22,6 +22,13 @@ PLATEAU_FLOOR = 1e-10
 FIT_T_MIN = 2.0
 MIN_SAMPLES = 10
 
+# Longitudes and colatitudes of the grid decay_study samples a Lagrange function on.
+DECAY_GRID_LON = 400
+DECAY_GRID_LAT = 200
+
+# Probe points convergence_study measures its sup errors at.
+CONVERGENCE_PROBES = 20_000
+
 
 class InsufficientSamplesError(ValueError):
     """Fewer than 10 usable samples inside the fit window."""
@@ -40,11 +47,11 @@ class DecayFit:
     n_used: int
 
 
-def fit_decay(samples, kind, q=None, m=2, plateau_floor=PLATEAU_FLOOR, t_min=FIT_T_MIN, t_max=None):
+def fit_decay(samples, kind, q=None, m=2):
     """Fit (t, |v|) samples to C exp(-nu t), coefficient samples prescaled by q^(2m-2).
 
-    The window is [t_min, t_plateau] with t_plateau the smallest t whose value
-    drops below plateau_floor (samples at or below the floor are excluded as
+    The window is [FIT_T_MIN, t_plateau] with t_plateau the smallest t whose
+    value drops below PLATEAU_FLOOR (samples below the floor are excluded as
     roundoff noise). kind is "function" (q_power 0) or "coefficient"
     (q_power 2 - 2m, requires q).
     """
@@ -64,13 +71,12 @@ def fit_decay(samples, kind, q=None, m=2, plateau_floor=PLATEAU_FLOOR, t_min=FIT
 
     t = samples[:, 0]
     v = np.abs(samples[:, 1])
-    below = v < plateau_floor
-    t_plateau = float(t[below].min()) if below.any() else math.inf
-    hi = t_plateau if t_max is None else min(t_max, t_plateau)
-    keep = (t >= t_min) & (t <= hi) & (v >= plateau_floor)
+    below = v < PLATEAU_FLOOR
+    hi = float(t[below].min()) if below.any() else math.inf
+    keep = (t >= FIT_T_MIN) & (t <= hi) & (v >= PLATEAU_FLOOR)
     if keep.sum() < MIN_SAMPLES:
         raise InsufficientSamplesError(
-            f"{int(keep.sum())} samples in window [{t_min}, {hi:.3g}], need {MIN_SAMPLES}"
+            f"{int(keep.sum())} samples in window [{FIT_T_MIN}, {hi:.3g}], need {MIN_SAMPLES}"
         )
 
     ts = t[keep]
@@ -82,7 +88,7 @@ def fit_decay(samples, kind, q=None, m=2, plateau_floor=PLATEAU_FLOOR, t_min=FIT
     return DecayFit(
         nu=float(-slope),
         C=float(np.exp(intercept)),
-        window=(float(t_min), float(hi)),
+        window=(FIT_T_MIN, hi),
         r2=r2,
         kind=kind,
         q_power=q_power,
@@ -105,19 +111,21 @@ class DecayStudy:
     plateau_fraction_coefficient: float
 
 
-def decay_study(nodes, spec, center_idx=None, n_lon=400, n_lat=200, plateau_floor=PLATEAU_FLOOR):
+def decay_study(nodes, spec, center_idx=None):
     """Compute one full Lagrange column and fit both decay laws.
 
     Function samples take the max of |chi| over each colatitude band of a
     lon-lat grid in a frame whose pole is the center node; coefficient samples
     are (d(center, zeta)/h, |A[zeta, center]|) over all nodes. The default
-    center is the node nearest the north pole.
+    center is the node nearest the north pole; a given one must lie in 0..N-1.
     """
-    stats = ensure_stats(nodes)
     pts = nodes.points
     n = pts.shape[0]
     if center_idx is None:
         center_idx = int(np.argmax(pts[:, 2]))
+    elif not 0 <= center_idx < n:
+        raise ValueError(f"center_idx {center_idx} is outside 0..{n - 1}")
+    stats = ensure_stats(nodes)
     center = pts[center_idx]
 
     system = assemble_saddle(spec, nodes)
@@ -126,25 +134,24 @@ def decay_study(nodes, spec, center_idx=None, n_lon=400, n_lat=200, plateau_floo
     a, c = factor_solve(system, rhs)
 
     e1, e2 = tangent_frame(center)
-    theta2 = np.linspace(0.0, math.pi, n_lat)
-    theta1 = np.linspace(0.0, 2.0 * math.pi, n_lon, endpoint=False)
+    theta2 = np.linspace(0.0, math.pi, DECAY_GRID_LAT)
+    theta1 = np.linspace(0.0, 2.0 * math.pi, DECAY_GRID_LON, endpoint=False)
     sin2, cos2 = np.sin(theta2), np.cos(theta2)
     grid = (
         np.einsum("i,j,k->ijk", sin2, np.cos(theta1), e1)
         + np.einsum("i,j,k->ijk", sin2, np.sin(theta1), e2)
         + np.einsum("i,j,k->ijk", cos2, np.ones_like(theta1), center)
     ).reshape(-1, 3)
-    vals = np.abs(evaluate_expansion(spec, pts, a, c, grid)).reshape(n_lat, n_lon)
+    vals = np.abs(evaluate_expansion(spec, pts, a, c, grid))
+    vals = vals.reshape(DECAY_GRID_LAT, DECAY_GRID_LON)
     band_max = vals.max(axis=1)
     function_samples = np.column_stack([theta2 / stats.h, band_max])
 
     d = geodesic_distance(center, pts)
     coefficient_samples = np.column_stack([d / stats.h, np.abs(a)])
 
-    fit_fn = fit_decay(function_samples, "function", m=spec.m, plateau_floor=plateau_floor)
-    fit_cf = fit_decay(
-        coefficient_samples, "coefficient", q=stats.q, m=spec.m, plateau_floor=plateau_floor
-    )
+    fit_fn = fit_decay(function_samples, "function", m=spec.m)
+    fit_cf = fit_decay(coefficient_samples, "coefficient", q=stats.q, m=spec.m)
     return DecayStudy(
         center_idx=int(center_idx),
         h=stats.h,
@@ -153,8 +160,8 @@ def decay_study(nodes, spec, center_idx=None, n_lon=400, n_lat=200, plateau_floo
         coefficient_samples=coefficient_samples,
         fit_function=fit_fn,
         fit_coefficient=fit_cf,
-        plateau_fraction_function=float((band_max < plateau_floor).mean()),
-        plateau_fraction_coefficient=float((np.abs(a) < plateau_floor).mean()),
+        plateau_fraction_function=float((band_max < PLATEAU_FLOOR).mean()),
+        plateau_fraction_coefficient=float((np.abs(a) < PLATEAU_FLOOR).mean()),
     )
 
 
@@ -170,15 +177,15 @@ class ConvergenceRow:
     order_quasi: float
 
 
-def convergence_study(generator, sizes, spec, f, probe_n=20_000, footprint=None):
+def convergence_study(generator, sizes, spec, f, footprint=None):
     """Interpolation vs quasi-interpolation sup errors over a resolution ladder.
 
     generator(N) must return a NodeSet; f maps (P, 3) points to values. Errors
-    are sup over a fixed probe set; observed orders between consecutive levels
-    use the measured fill distances. footprint None means the practical default
-    size per level.
+    are sup over the first CONVERGENCE_PROBES probe points; observed orders
+    between consecutive levels use the measured fill distances. footprint None
+    means the practical default size per level.
     """
-    probes = probe_sequence(probe_n)
+    probes = probe_sequence(CONVERGENCE_PROBES)
     f_ref = np.asarray(f(probes), dtype=np.float64)
     rows = []
     for n_nodes in sizes:

@@ -18,7 +18,7 @@ UNIT_TOL = 1e-12
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-# Refuse generated sets beyond this size unless the caller raises the cap.
+# Refuse generated sets beyond this size, before allocating them.
 MAX_GENERATED = 1_000_000
 
 
@@ -76,13 +76,6 @@ class NodeSet:
     def fingerprint(self):
         """SHA-256 hex digest of the point bytes; basis and coefficient files store it."""
         return hashlib.sha256(self.points.tobytes()).hexdigest()
-
-    @classmethod
-    def from_array(cls, arr, normalize=False):
-        arr = np.asarray(arr, dtype=np.float64)
-        if normalize:
-            arr = normalize_rows(arr)
-        return cls(arr)
 
 
 def normalize_rows(arr):
@@ -160,7 +153,7 @@ _ICO_FACES = [
 ]
 
 
-def gen_icosahedral(level, max_points=MAX_GENERATED):
+def gen_icosahedral(level):
     """Icosahedral nodes by recursive edge bisection; N = 10 * 4**level + 2.
 
     Vertex order is deterministic: the 12 base vertices first, then midpoints in
@@ -170,9 +163,9 @@ def gen_icosahedral(level, max_points=MAX_GENERATED):
     if level < 0:
         raise ValueError("level must be >= 0")
     n_final = 10 * 4**level + 2
-    if n_final > max_points:
+    if n_final > MAX_GENERATED:
         raise ValueError(
-            f"level {level} gives {n_final} nodes, beyond the cap {max_points}"
+            f"level {level} gives {n_final} nodes, beyond the cap {MAX_GENERATED}"
         )
     verts = list(normalize_rows(_ICO_RAW))
     faces = list(_ICO_FACES)
@@ -197,7 +190,7 @@ def gen_icosahedral(level, max_points=MAX_GENERATED):
     return NodeSet(pts)
 
 
-def gen_icosahedral_freq(nu, max_points=MAX_GENERATED):
+def gen_icosahedral_freq(nu):
     """Icosahedral nodes by frequency-nu face subdivision; N = 10 * nu**2 + 2.
 
     Each icosahedron edge is split into nu equal segments and the barycentric
@@ -210,9 +203,9 @@ def gen_icosahedral_freq(nu, max_points=MAX_GENERATED):
     if nu < 1:
         raise ValueError("subdivision frequency must be >= 1")
     n_final = 10 * nu**2 + 2
-    if n_final > max_points:
+    if n_final > MAX_GENERATED:
         raise ValueError(
-            f"frequency {nu} gives {n_final} nodes, beyond the cap {max_points}"
+            f"frequency {nu} gives {n_final} nodes, beyond the cap {MAX_GENERATED}"
         )
     base = normalize_rows(_ICO_RAW)
     verts = list(base)
@@ -246,13 +239,13 @@ def gen_icosahedral_freq(nu, max_points=MAX_GENERATED):
     return NodeSet(pts)
 
 
-def gen_fibonacci(n, max_points=MAX_GENERATED):
+def gen_fibonacci(n):
     """Spherical Fibonacci lattice with n nodes (quasi-uniform, mesh ratio < 3)."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_points:
-        raise ValueError(f"n = {n} beyond the cap {max_points}")
+    if n > MAX_GENERATED:
+        raise ValueError(f"n = {n} beyond the cap {MAX_GENERATED}")
     i = np.arange(n, dtype=np.float64)
     z = 1.0 - (2.0 * i + 1.0) / n
     rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -352,10 +345,10 @@ def mesh_stats(nodes, probe_n=None):
     return MeshStats(h=h, q=q, rho=h / q, n_probe=probe_n)
 
 
-def ensure_stats(nodes, probe_n=None):
+def ensure_stats(nodes):
     """Return cached MeshStats for the set, computing and caching on first use."""
-    if nodes.stats is None or (probe_n is not None and nodes.stats.n_probe != probe_n):
-        nodes.stats = mesh_stats(nodes, probe_n)
+    if nodes.stats is None:
+        nodes.stats = mesh_stats(nodes)
     return nodes.stats
 
 

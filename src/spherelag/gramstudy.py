@@ -29,6 +29,9 @@ CAP_GRAM_ORDER = ((0, 0), (1, 0), (1, 1), (1, -1))
 # hold; coarser fillings are flagged as outside the hypothesis, not as errors.
 HYPOTHESIS_H_RATIO = 0.1
 
+# Probe points cap_gram_compare estimates the fill distance within the cap from.
+CAP_PROBES = 20_000
+
 
 def cap_gram_analytic(r):
     """Exact 4x4 Gram of Y_00, Y_10, Y_11c, Y_11s over a cap of radius r.
@@ -69,7 +72,7 @@ class CapGramReport:
     within_hypothesis: bool
 
 
-def cap_gram_compare(points, center, r, probe_n=20_000):
+def cap_gram_compare(points, center, r):
     """Check ||G_C^{-1}||_2 <= mu(cap) ||G_cap^{-1}||_2 for points inside a cap.
 
     h_cap is the fill distance of the points within the cap (probe estimate);
@@ -96,7 +99,7 @@ def cap_gram_compare(points, center, r, probe_n=20_000):
     lam_min_cap, _ = sym_eig_minmax(cap_gram_analytic(r))
     bound = mu / lam_min_cap
 
-    probes = cap_points(center, r, probe_n)
+    probes = cap_points(center, r, CAP_PROBES)
     dist, _ = cKDTree(pts).query(probes, k=1)
     h_cap = float(2.0 * np.arcsin(np.clip(dist.max() / 2.0, 0.0, 1.0)))
     h_ratio = h_cap / r

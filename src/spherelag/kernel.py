@@ -84,7 +84,7 @@ def eval_kernel(spec, a, b):
     return kernel_values(spec, np.einsum("...i,...i->...", a, b))
 
 
-# Side of the square blocks that kernel_matrix and kernel_sum work in. A tile
+# Side of the square blocks that kernel_tiles and kernel_sum work in. A tile
 # and its logarithm temporary take 2 x 512 KiB, which stays in cache while
 # the transform runs; larger row blocks are bound by memory bandwidth.
 KERNEL_TILE = 256
@@ -150,31 +150,13 @@ def apply_tiles(tiles, n, weights):
 
 
 def kernel_matrix(spec, pts_a, pts_b=None):
-    """Kernel block k_m(pts_a[i], pts_b[j]); exactly symmetric when pts_b is None.
+    """Dense kernel block k_m(pts_a[i], pts_b[j]); exactly symmetric when pts_b is None.
 
-    Up to two tiles of entries (N <= 362) the symmetric matrix is computed
-    straight into the returned array. Larger ones start as the dot products
-    pts_a @ pts_a.T, turned into kernel values one upper-triangle tile at a
-    time, each tile mirrored, so the peak memory is the matrix plus one tile
-    and its temporaries (1.02 x 8 N^2 bytes at N = 3000).
+    The reference the tests check the tiled routes against: one product and
+    one kernel transform, 2.125 x 8 N^2 bytes at peak for N points.
     """
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    if pts_b is not None:
-        return _tile(spec, pts_a, np.asarray(pts_b, dtype=np.float64))
-    n = pts_a.shape[0]
-    if n * n <= 2 * KERNEL_TILE**2:
-        # faster than tiles here: 0.73 against 0.86 ms at N = 300 on one core
-        return _tile(spec, pts_a)
-    # one product for all dot products: BLAS rounds the entries of a narrow
-    # tile product differently from the same entries of the full product
-    K = pts_a @ pts_a.T
-    for rows, cols in _upper_tiles(n):
-        t = K[rows, cols]
-        t = _kernel_inplace(spec, _symmetrized(t) if rows == cols else t.copy())
-        K[rows, cols] = t
-        if rows != cols:
-            K[cols, rows] = t.T
-    return K
+    pts_b = None if pts_b is None else np.asarray(pts_b, dtype=np.float64)
+    return _tile(spec, np.asarray(pts_a, dtype=np.float64), pts_b)
 
 
 def kernel_sum(spec, targets, sources, weights):

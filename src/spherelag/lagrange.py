@@ -30,11 +30,11 @@ class LagrangeBasis:
     C: np.ndarray
 
 
-def full_lagrange(nodes, spec, cap=FULL_BASIS_CAP):
+def full_lagrange(nodes, spec):
     """Solve the bordered system for all N cardinal right-hand sides at once."""
     n = len(nodes)
-    if n > cap:
-        raise ValueError(f"full basis at N = {n} exceeds the dense cap {cap}")
+    if n > FULL_BASIS_CAP:
+        raise ValueError(f"full basis at N = {n} exceeds the dense cap {FULL_BASIS_CAP}")
     system = assemble_saddle(spec, nodes)
     rhs = np.zeros((n + spec.poly_dim, n))
     rhs[:n, :n] = np.eye(n)
@@ -42,13 +42,9 @@ def full_lagrange(nodes, spec, cap=FULL_BASIS_CAP):
     return LagrangeBasis(nodes=nodes, spec=spec, A=A, C=C)
 
 
-def eval_columns(basis, points, cols=None):
-    """Values of selected Lagrange functions at arbitrary points, (P, n_cols)."""
-    A, C = basis.A, basis.C
-    if cols is not None:
-        cols = np.asarray(cols, dtype=np.int64)
-        A, C = A[:, cols], C[:, cols]
-    return evaluate_expansion(basis.spec, basis.nodes.points, A, C, points)
+def eval_columns(basis, points):
+    """Values of all N Lagrange functions at arbitrary points, (P, N)."""
+    return evaluate_expansion(basis.spec, basis.nodes.points, basis.A, basis.C, points)
 
 
 def gram_discrete(points, basis):

@@ -85,7 +85,8 @@ class FootprintRule:
     count mode: fixed_n pins the size directly; otherwise a given M gives
     n(N) = min(N, max(m^2 + 1, round(M * log(N)^2))) with natural log, and
     without M the size is default_footprint(N, m). radius mode: r(h) =
-    M*h*log(1/h) and the footprint is a geodesic ball.
+    M*h*log(1/h) and the footprint is a geodesic ball. M must be finite and
+    positive, fixed_n at least 1, and a rule takes at most one of them.
     """
 
     mode: str = "count"
@@ -97,6 +98,13 @@ class FootprintRule:
             raise ValueError(f"unknown footprint mode {self.mode!r}")
         if self.mode == "radius" and self.M is None:
             raise ValueError("radius mode needs M")
+        if self.M is not None and not 0.0 < self.M < math.inf:
+            raise ValueError(f"footprint M must be finite and positive, got {self.M}")
+        if self.fixed_n is not None:
+            if self.M is not None:
+                raise ValueError("a footprint rule takes M or fixed_n, not both")
+            if self.fixed_n < 1:
+                raise ValueError(f"footprint size fixed_n must be at least 1, got {self.fixed_n}")
 
     def stencil_count(self, n_nodes, m):
         if self.mode != "count":
@@ -509,9 +517,11 @@ def load_basis(path, nodes, spec):
             if "fingerprint" in data.files:
                 _check_fingerprint(str(data["fingerprint"][0]), nodes)
             M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
+            # files of the earlier layout store a number for M also where
+            # fixed_n set the size and M had no effect
             rule = FootprintRule(
                 mode=str(data["mode"][0]),
-                M=None if math.isnan(M) else M,
+                M=None if math.isnan(M) or fixed >= 0 else M,
                 fixed_n=None if fixed < 0 else fixed,
             )
             A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
@@ -569,7 +579,7 @@ def load_basis(path, nodes, spec):
             raise ValueError(f"unknown record kind {kind!r}")
     rule = FootprintRule(
         mode=meta.get("mode", "count"),
-        M=float(meta["M"]) if meta.get("M") else None,
+        M=float(meta["M"]) if meta.get("M") and not meta.get("fixed_n") else None,
         fixed_n=int(meta["fixed_n"]) if meta.get("fixed_n") else None,
     )
     # rows are range-checked, and must not repeat in a column, in validated_csc

@@ -8,8 +8,6 @@ ties resolve deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -27,19 +25,14 @@ _TIE_PAD = 16
 _RERANK_BLOCK = 1 << 15
 
 
-@dataclass
-class NeighborIndex:
-    points: np.ndarray
-    tree: cKDTree
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
 def build_index(nodes):
-    """Build a kd-tree index over a NodeSet or raw (N, 3) array."""
+    """kd-tree over a NodeSet or raw (N, 3) array, as a scipy cKDTree.
+
+    The queries read the points back as tree.data, which is the float64 array
+    passed in (not a copy), and the node count as tree.n.
+    """
     pts = nodes.points if isinstance(nodes, NodeSet) else np.asarray(nodes, dtype=np.float64)
-    return NeighborIndex(pts, cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True))
+    return cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True)
 
 
 def _nearest(index, centres, k):
@@ -48,13 +41,13 @@ def _nearest(index, centres, k):
     One tree query on solver.WORKERS threads fetches k + _TIE_PAD candidates
     per centre; they are re-ranked in blocks of about _RERANK_BLOCK candidates.
     """
-    n = len(index)
+    n = index.n
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    pts = index.points
+    pts = index.data
     kq = min(n, k + _TIE_PAD)
-    _, cand = index.tree.query(pts[centres], k=kq, workers=solver.WORKERS)
+    _, cand = index.query(pts[centres], k=kq, workers=solver.WORKERS)
     cand = np.asarray(cand, dtype=np.int64).reshape(len(centres), kq)
     out = np.empty((len(centres), k), dtype=np.int64)
     step = max(1, _RERANK_BLOCK // kq)
@@ -78,7 +71,7 @@ def knn(index, center_idx, k):
 
 def knn_all(index, k):
     """Row i holds knn(index, i, k); one vectorized tree query for all centers."""
-    return _nearest(index, np.arange(len(index)), k)
+    return _nearest(index, np.arange(index.n), k)
 
 
 def ball(index, center, r):
@@ -93,16 +86,16 @@ def ball(index, center, r):
         raise ValueError("radius must be >= 0")
     center = np.asarray(center, dtype=np.float64)
     if r >= np.pi:
-        cand = np.arange(len(index), dtype=np.int64)
+        cand = np.arange(index.n, dtype=np.int64)
     else:
         chord = 2.0 * np.sin(r / 2.0)
         cand = np.asarray(
-            index.tree.query_ball_point(center, chord * (1.0 + 1e-12) + 1e-15),
+            index.query_ball_point(center, chord * (1.0 + 1e-12) + 1e-15),
             dtype=np.int64,
         )
     if cand.size == 0:
         return cand
-    d = geodesic_distance(center, index.points[cand])
+    d = geodesic_distance(center, index.data[cand])
     keep = d <= r
     cand, d = cand[keep], d[keep]
     return cand[np.lexsort((cand, d))]

@@ -240,14 +240,17 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     right preconditioner P passes v -> A P v and maps the answer back through
     P, as interpolate_preconditioned does. Convergence is
     ||rhs - A x||_2 / ||rhs||_2 <= tol; an exact Krylov breakdown counts as
-    convergence. Raises GmresNotConvergedError (carrying the best iterate)
-    when maxit is exhausted. The Krylov basis and the Hessenberg matrix start
-    with room for _GMRES_BLOCK iterations and double when full, so memory
-    follows the iterations taken, not maxit.
+    convergence; tol must be finite and positive. Raises
+    GmresNotConvergedError (carrying the best iterate) when maxit is
+    exhausted. The Krylov basis and the Hessenberg matrix start with room for
+    _GMRES_BLOCK iterations and double when full, so memory follows the
+    iterations taken, not maxit.
     """
     maxit = int(maxit)
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     b = np.asarray(rhs, dtype=np.float64)
     n = b.size
     bnorm = float(np.linalg.norm(b))

@@ -56,6 +56,12 @@ def test_nodes_gen_argument_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nodes_gen_refuses_sets_beyond_the_cap(tmp_path, capsys):
+    argv = ["nodes", "gen", "--kind", "fibonacci", "--n", "2000000", "--out", str(tmp_path / "x.txt")]
+    assert_domain_error(argv, capsys, "beyond the cap 1000000")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_nodes_stats_csv_shape(node_file, capsys):
     assert main(["nodes", "stats", str(node_file)]) == 0
     out = capsys.readouterr().out
@@ -146,11 +152,9 @@ def test_eval_grid_layout(node_file, basis_file, tmp_path):
 def test_eval_rejects_malformed_grid(node_file, basis_file, tmp_path, capsys):
     coeffs = tmp_path / "coeffs.csv"
     main(["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(coeffs)])
-    code = main(
-        ["eval", "--nodes", str(node_file), "--coeffs", str(coeffs), "--at", "grid:20by40"]
-    )
-    assert code == 1
-    assert "grid" in capsys.readouterr().err
+    for grid in ("grid:20by40", "grid:0x5", "grid:-1x5", "grid:5x0"):
+        argv = ["eval", "--nodes", str(node_file), "--coeffs", str(coeffs), "--at", grid]
+        assert_domain_error(argv, capsys, f"bad grid spec {grid!r}")
 
 
 def solved_coeffs(tmp_path, n, m):
@@ -298,6 +302,12 @@ def test_solve_rejects_maxit_below_one(node_file, basis_file, capsys, maxit):
     assert_domain_error(argv, capsys, "maxit must be at least 1")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_solve_rejects_a_tol_that_is_not_finite_and_positive(node_file, basis_file, capsys, tol):
+    argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--tol", tol]
+    assert_domain_error(argv, capsys, "tol must be finite and positive")
+
+
 def test_solve_maxit_beyond_n_matches_the_default(node_file, basis_file, tmp_path):
     # Krylov storage follows the iterations taken, so a huge maxit costs nothing
     solve = ["solve", "--nodes", str(node_file), "--basis", str(basis_file)]
@@ -320,6 +330,20 @@ def test_build_footprint_flags_are_exclusive(node_file, tmp_path, capsys):
     code = main(["build", "--nodes", str(node_file), "--n", "40", "--M", "8", "--out", out])
     assert code == 1
     assert "at most one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--radius-K", "nan"), ("--M", "inf"), ("--M", "nan"), ("--M", "-1"), ("--n", "0"), ("--n", "-5")],
+)
+def test_build_rejects_bad_footprint_values(node_file, tmp_path, capsys, flag, value):
+    out = tmp_path / "b.npz"
+    argv = ["build", "--nodes", str(node_file), flag, value, "--out", str(out)]
+    if flag == "--n":
+        assert_domain_error(argv, capsys, f"fixed_n must be at least 1, got {value}")
+    else:
+        assert_domain_error(argv, capsys, f"footprint M must be finite and positive, got {float(value)}")
+    assert not out.exists()
 
 
 def test_build_csv_format(node_file, tmp_path):
@@ -367,6 +391,12 @@ def test_study_decay(node_file, tmp_path):
     assert "nu_function=" in text
     kinds = {ln.split(",")[0] for ln in body_lines(text)[1:]}
     assert kinds == {"function", "coefficient"}
+
+
+@pytest.mark.parametrize("center_idx", ["99999", "-1"])
+def test_study_decay_rejects_a_center_outside_the_set(node_file, capsys, center_idx):
+    argv = ["study", "decay", "--nodes", str(node_file), "--center-idx", center_idx]
+    assert_domain_error(argv, capsys, f"center_idx {center_idx} is outside 0..399")
 
 
 def test_study_convergence(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spherelag as sl
+from spherelag import diagnostics
 from spherelag.diagnostics import (
     InsufficientSamplesError,
     convergence_study,
@@ -66,12 +67,6 @@ def test_fit_window_stops_at_the_plateau():
     assert fit.n_used < 600
 
 
-def test_fit_honors_explicit_t_max():
-    fit = fit_decay(exp_samples(1.35, 2.5, t_max=20.0, n=400), "function", t_max=10.0)
-    assert fit.window == (2.0, 10.0)
-    assert fit.nu == pytest.approx(1.35, rel=1e-9)
-
-
 def test_fit_validation():
     good = exp_samples(1.0, 1.0)
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
@@ -111,10 +106,19 @@ def test_decay_study_respects_center_choice():
     assert study.coefficient_samples.shape == (400, 2)
 
 
-def test_convergence_interpolation_errors_shrink():
-    rows = convergence_study(
-        sl.gen_fibonacci, (100, 200, 400), spec(2), lambda p: np.exp(p[:, 2]), probe_n=2000
-    )
+@pytest.mark.parametrize("center_idx", [-1, 400, 99_999])
+def test_decay_study_rejects_a_center_outside_the_set(center_idx):
+    with pytest.raises(ValueError, match=f"center_idx {center_idx} is outside 0..399"):
+        decay_study(fib(400), spec(2), center_idx=center_idx)
+
+
+@pytest.fixture
+def few_probes(monkeypatch):
+    monkeypatch.setattr(diagnostics, "CONVERGENCE_PROBES", 2000)
+
+
+def test_convergence_interpolation_errors_shrink(few_probes):
+    rows = convergence_study(sl.gen_fibonacci, (100, 200, 400), spec(2), lambda p: np.exp(p[:, 2]))
     errs = [r.err_interp for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert math.isnan(rows[0].order_interp)
@@ -123,22 +127,19 @@ def test_convergence_interpolation_errors_shrink():
     assert [r.n_nodes for r in rows] == [100, 200, 400]
 
 
-def test_convergence_quasi_tracks_interpolation_with_wide_footprints():
+def test_convergence_quasi_tracks_interpolation_with_wide_footprints(few_probes):
     rows = convergence_study(
         sl.gen_fibonacci,
         (200, 400),
         spec(2),
         lambda p: np.exp(p[:, 2]),
-        probe_n=2000,
         footprint=FootprintRule(M=11.0),
     )
     for row in rows:
         assert row.err_quasi <= 10.0 * row.err_interp
 
 
-def test_convergence_reproduces_low_degree_harmonics():
-    rows = convergence_study(
-        sl.gen_fibonacci, (100, 200), spec(2), lambda p: p[:, 2], probe_n=2000
-    )
+def test_convergence_reproduces_low_degree_harmonics(few_probes):
+    rows = convergence_study(sl.gen_fibonacci, (100, 200), spec(2), lambda p: p[:, 2])
     for row in rows:
         assert row.err_interp < 1e-8

@@ -1,6 +1,7 @@
 """Node generators, distances, mesh statistics, and node-file round trips."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.spatial import cKDTree
 import spherelag as sl
 from spherelag.geom import (
     GOLDEN_ANGLE,
+    MAX_GENERATED,
     DuplicateNodesError,
     NodeFileError,
     NodeSet,
@@ -109,6 +111,27 @@ def test_fibonacci_structure():
 def test_generator_rejects_bad_sizes(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, n_nodes",
+    [
+        (lambda: sl.gen_icosahedral(9), 2_621_442),
+        (lambda: sl.gen_icosahedral_freq(317), 1_004_892),
+        (lambda: sl.gen_fibonacci(1_000_001), 1_000_001),
+    ],
+    ids=["level-9", "freq-317", "fibonacci-1000001"],
+)
+def test_generators_refuse_sets_beyond_the_cap_before_allocating(call, n_nodes):
+    assert n_nodes > MAX_GENERATED
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cap {MAX_GENERATED}"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the set itself would take 24 MB or more
 
 
 def test_probe_sequence_is_nested():
@@ -222,7 +245,7 @@ def test_nodeset_fingerprint_follows_the_point_bytes():
 
 
 def test_nodeset_from_array_can_normalize():
-    ns = NodeSet.from_array([[2.0, 0.0, 0.0], [0.0, 0.0, -5.0]], normalize=True)
+    ns = NodeSet(normalize_rows([[2.0, 0.0, 0.0], [0.0, 0.0, -5.0]]))
     assert np.allclose(ns.points, [[1, 0, 0], [0, 0, -1]], atol=1e-15)
 
 
@@ -255,11 +278,10 @@ def test_fill_estimate_is_one_query_over_all_probes():
 def test_ensure_stats_caches():
     ns = sl.gen_fibonacci(200)
     assert ns.stats is None
-    s1 = sl.ensure_stats(ns, probe_n=5_000)
+    s1 = sl.ensure_stats(ns)
     assert ns.stats is s1
-    assert sl.ensure_stats(ns, probe_n=5_000) is s1
-    s2 = sl.ensure_stats(ns, probe_n=9_000)
-    assert s2 is not s1 and s2.n_probe == 9_000
+    assert sl.ensure_stats(ns) is s1
+    assert s1 == mesh_stats(ns)
 
 
 def test_mesh_stats_rejects_tiny_probe_budget():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spherelag import lagrange
 from spherelag.kernel import assemble_saddle, harmonic_basis_for, kernel_matrix
 from spherelag.lagrange import LagrangeBasis, eval_columns, full_lagrange, gram_discrete
 from spherelag.solver import SaddleSystem, factor_solve
@@ -47,9 +48,10 @@ def test_native_inner_positive_on_constraint_space():
         assert a @ K @ a > 0.0
 
 
-def test_full_basis_size_cap():
-    with pytest.raises(ValueError):
-        full_lagrange(fib(30), spec(2), cap=20)
+def test_full_basis_size_cap(monkeypatch):
+    monkeypatch.setattr(lagrange, "FULL_BASIS_CAP", 20)
+    with pytest.raises(ValueError, match="cap 20"):
+        full_lagrange(fib(30), spec(2))
 
 
 def test_lagrange_functions_invariant_under_harmonic_basis_change():

@@ -69,6 +69,26 @@ def test_footprint_rule_validation():
     assert rule.stencil_radius(0.05) == pytest.approx(2.0 * 0.05 * np.log(20.0))
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"M": float("nan")}, "M must be finite and positive"),
+        ({"M": float("inf")}, "M must be finite and positive"),
+        ({"M": -1.0}, "M must be finite and positive"),
+        ({"M": 0.0}, "M must be finite and positive"),
+        ({"mode": "radius", "M": float("nan")}, "M must be finite and positive"),
+        ({"fixed_n": 0}, "fixed_n must be at least 1"),
+        ({"fixed_n": -5}, "fixed_n must be at least 1"),
+        ({"M": 11.0, "fixed_n": 40}, "M or fixed_n, not both"),
+        ({"mode": "radius", "M": 2.0, "fixed_n": 40}, "M or fixed_n, not both"),
+        ({"mode": "radius", "fixed_n": 40}, "needs M"),
+    ],
+)
+def test_footprint_rule_rejects_bad_sizes(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        FootprintRule(**kwargs)
+
+
 def test_footprint_rule_count_modes():
     assert FootprintRule(fixed_n=30).stencil_count(900, 2) == 30
     assert FootprintRule(fixed_n=30).stencil_count(12, 2) == 12
@@ -523,11 +543,12 @@ def test_npz_round_trip(tmp_path):
 
 
 def test_npz_in_the_earlier_layout_loads(tmp_path):
-    # earlier files also hold per_center_n, and M is always a number
+    # earlier files also hold per_center_n, and M is always a number, also
+    # where fixed_n set the size and M had no effect
     basis = local_basis(150)
     A = basis.A_sparse
     path = tmp_path / "old.npz"
-    old_rule = FootprintRule(M=7.0 / np.log(10.0) ** 2, fixed_n=default_footprint(150))
+    old_M, old_fixed_n = 7.0 / np.log(10.0) ** 2, default_footprint(150)
     np.savez(
         path,
         colptr=A.indptr,
@@ -538,13 +559,13 @@ def test_npz_in_the_earlier_layout_loads(tmp_path):
         m=np.array([2]),
         n_nodes=np.array([150]),
         mode=np.array(["count"]),
-        M=np.array([old_rule.M]),
-        fixed_n=np.array([old_rule.fixed_n]),
+        M=np.array([old_M]),
+        fixed_n=np.array([old_fixed_n]),
     )
     back = load_basis(path, basis.nodes, basis.spec)
     assert np.array_equal(back.A_sparse.toarray(), A.toarray())
     assert np.array_equal(back.C, basis.C)
-    assert back.footprint == old_rule
+    assert back.footprint == FootprintRule(fixed_n=old_fixed_n)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -560,6 +581,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.footprint == basis.footprint
     header = path.read_text().splitlines()[0]
     assert header == "# spherelag local basis, format csv"
+
+
+def test_csv_in_the_earlier_layout_loads(tmp_path):
+    # earlier csv headers give M a number also where fixed_n set the size
+    basis = build_local_basis(fib(80), spec(2), FootprintRule(fixed_n=25))
+    path = tmp_path / "basis.csv"
+    save_basis(path, basis, fmt="csv")
+    text = path.read_text()
+    assert " M= fixed_n=25 " in text
+    path.write_text(text.replace(" M= fixed_n=25 ", " M=0.30401636 fixed_n=25 "))
+    assert load_basis(path, basis.nodes, basis.spec).footprint == FootprintRule(fixed_n=25)
 
 
 def test_csv_records_load_in_any_order(tmp_path):

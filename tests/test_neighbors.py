@@ -120,7 +120,7 @@ def test_build_index_accepts_nodeset_and_array():
     ns = fib(30)
     a = build_index(ns)
     b = build_index(ns.points)
-    assert len(a) == len(b) == 30
+    assert a.n == b.n == 30
     assert np.array_equal(knn(a, 3, 7), knn(b, 3, 7))
 
 

@@ -300,6 +300,19 @@ def test_gmres_rejects_maxit_below_one():
             gmres(lambda v: v, np.ones(4), maxit=maxit)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_gmres_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return 2.0 * v
+
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        gmres(apply_a, np.ones(4), tol=tol)
+    assert not calls  # refused before the first matvec
+
+
 def test_gmres_storage_grows_without_changing_the_iterates():
     # 40 distinct eigenvalues: more iterations than the first block holds
     d = np.repeat(np.linspace(1.0, 40.0, 40), 2)
