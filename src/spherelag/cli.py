@@ -215,7 +215,7 @@ def cmd_build(args, config):
     spec = KernelSpec(args.m)
     rule = _footprint_from_args(args)
     basis = build_local_basis(nodes, spec, rule, grow_on_failure=args.grow_on_failure)
-    save_basis(args.out, basis, fmt=args.format)
+    save_basis(args.out, basis)
     return 0
 
 
@@ -239,7 +239,7 @@ def cmd_solve(args, config):
 
     try:
         a, c, report = interpolate_preconditioned(
-            nodes, spec, basis, data, tol=args.tol, maxit=args.maxit, x0=args.x0
+            nodes, spec, basis, data, tol=args.tol, maxit=args.maxit
         )
     except GmresNotConvergedError as exc:
         if args.report:
@@ -379,6 +379,8 @@ def _generator(kind):
     if kind == "icosahedral":
         # interpret the size as a node count of the 10*4^level + 2 family
         def gen(n):
+            if n < 12:
+                raise ValueError(f"icosahedral sizes start at 12 nodes (level 0), got {n}")
             level = round(math.log((n - 2) / 10, 4))
             return gen_icosahedral(level)
 
@@ -409,10 +411,11 @@ def _study_table1(args, config):
     gen = _generator(args.kind)
     rows = []
     for n in sizes:
-        study = decay_study(gen(n), spec)
+        nodes = gen(n)  # an icosahedral size is rounded to a family member
+        study = decay_study(nodes, spec)
         rows.append(
             (
-                n,
+                len(nodes),
                 study.h,
                 study.h / study.q,
                 study.fit_function.nu,
@@ -471,7 +474,6 @@ def build_parser():
     build.add_argument("--n", type=int, default=None, help="fixed footprint size")
     build.add_argument("--radius-K", type=float, default=None, help="radius rule K*h*log(1/h)")
     build.add_argument("--grow-on-failure", action="store_true")
-    build.add_argument("--format", choices=["npz", "csv"], default="npz")
     build.add_argument("--out", required=True)
     build.set_defaults(func=cmd_build)
 
@@ -482,7 +484,6 @@ def build_parser():
     solve.add_argument("--data", default=None, help="value file; default seeded uniform [-1,1]")
     solve.add_argument("--tol", type=float, default=1e-6)
     solve.add_argument("--maxit", type=int, default=200)
-    solve.add_argument("--x0", choices=["data", "zero"], default="data")
     solve.add_argument("--out", default=None, help="coefficient CSV")
     solve.add_argument("--report", default=None, help="iteration report CSV")
     solve.set_defaults(func=cmd_solve)

@@ -11,10 +11,10 @@ essentially independent of N.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import threading
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,22 +416,19 @@ def interpolate_preconditioned(
     *,
     tol=1e-6,
     maxit=200,
-    x0="data",
     materialize_limit=MATERIALIZE_LIMIT,
 ):
     """Solve the interpolation system with the local basis as right preconditioner.
 
-    GMRES runs on the composed operator v -> K (A_sparse v) + Phi (C v) with the
-    function values as initial guess (x0="data", the useful default since the
-    local basis is nearly cardinal) or zero (x0="zero"). The returned (a, c) are
+    GMRES runs on the composed operator v -> K (A_sparse v) + Phi (C v) and
+    starts from the function values: the local basis is nearly cardinal, so
+    the data are already close to the solution v. The returned (a, c) are
     recovered through the basis, a = A_sparse v, c = C v, and the report carries
     the relative sup-norm residual of the recovered interpolant as final_check.
     """
     f = _checked_data(f_values, len(nodes))
     if basis.nodes is not nodes and not np.array_equal(basis.nodes.points, nodes.points):
         raise ValueError("basis was built for a different node set")
-    if x0 not in ("data", "zero"):
-        raise ValueError("x0 must be 'data' or 'zero'")
 
     kmv = KernelMatvec(spec, nodes.points, materialize_limit=materialize_limit)
     phi = harmonic_basis_for(spec).eval(nodes.points)
@@ -440,8 +437,7 @@ def interpolate_preconditioned(
     def op(v):
         return kmv(spmv(A_s, v)) + phi @ (C @ v)
 
-    start = f if x0 == "data" else None
-    v, report = gmres(op, f, x0=start, tol=tol, maxit=maxit)
+    v, report = gmres(op, f, x0=f, tol=tol, maxit=maxit)
     a = spmv(A_s, v)
     c = C @ v
     resid = kmv(a) + phi @ c - f
@@ -451,22 +447,21 @@ def interpolate_preconditioned(
 
 # ---- basis file round trip ---- #
 
-def _check_fingerprint(stored, nodes):
-    if stored != nodes.fingerprint():
-        raise ValueError("basis was saved for a different node set (fingerprint mismatch)")
+# The arrays of every basis file; files of the earliest layout have no fingerprint.
+_BASIS_KEYS = ("colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n")
 
 
-def save_basis(path, basis, fmt="npz"):
-    """Persist a LocalBasis; 'npz' (compact) or 'csv' (documented text triplets).
+def save_basis(path, basis):
+    """Write a LocalBasis to path as an npz file, under exactly that name.
 
-    An unset M is stored as NaN in npz files and left empty in csv files. Both
-    formats store the node-set fingerprint, which load_basis checks.
+    An unset M is stored as NaN. The file stores the node-set fingerprint,
+    which load_basis checks.
     """
     A, rule = basis.A_sparse, basis.footprint
-    fingerprint = basis.nodes.fingerprint()
-    if fmt == "npz":
+    # np.savez would append ".npz" to a name without it; a file object keeps the name
+    with open(path, "wb") as fh:
         np.savez(
-            path,
+            fh,
             colptr=A.indptr,
             rowidx=A.indices,
             values=A.data,
@@ -476,124 +471,54 @@ def save_basis(path, basis, fmt="npz"):
             mode=np.array([rule.mode]),
             M=np.array([math.nan if rule.M is None else rule.M]),
             fixed_n=np.array([-1 if rule.fixed_n is None else rule.fixed_n]),
-            fingerprint=np.array([fingerprint]),
+            fingerprint=np.array([basis.nodes.fingerprint()]),
         )
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# spherelag local basis, format csv\n")
-            fh.write(
-                f"# N={len(basis.nodes)} m={basis.spec.m} mode={rule.mode} "
-                f"M={'' if rule.M is None else repr(rule.M)} "
-                f"fixed_n={'' if rule.fixed_n is None else rule.fixed_n} "
-                f"fingerprint={fingerprint}\n"
-            )
-            fh.write("kind,col,idx,value\n")
-            writer = csv.writer(fh)
-            for j in range(A.shape[1]):
-                col = slice(A.indptr[j], A.indptr[j + 1])
-                for r, v in zip(A.indices[col], A.data[col]):
-                    writer.writerow(["k", j, r, repr(float(v))])
-                for k, v in enumerate(basis.C[:, j]):
-                    writer.writerow(["p", j, k, repr(float(v))])
-    else:
-        raise ValueError(f"unknown basis format {fmt!r}")
+
+
+def _open_basis(path):
+    """The open npz file at path; a ValueError naming path if it is not a basis file."""
+    not_basis = f"{path} is not a spherelag npz basis file"
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, pickle, truncated or empty
+        raise ValueError(not_basis) from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{not_basis}: it holds a single array")
+    missing = [key for key in _BASIS_KEYS if key not in data.files]
+    if missing:
+        data.close()
+        raise ValueError(f"{not_basis}: it lacks {', '.join(missing)}")
+    return data
 
 
 def load_basis(path, nodes, spec):
     """Inverse of save_basis; validates set size, kernel order and every index.
 
-    A file with a node-set fingerprint must match the fingerprint of nodes;
-    files written before fingerprints were stored load without the check. A
-    csv file must give every column kernel records and each of its m^2
-    harmonic records exactly once.
+    A file that is not an npz file with the basis arrays fails with one
+    ValueError naming path. A file with a node-set fingerprint must match the
+    fingerprint of nodes; files written before fingerprints were stored load
+    without the check.
     """
     n = len(nodes)
-    if not str(path).endswith(".csv"):
-        with np.load(path, allow_pickle=False) as data:
-            if int(data["n_nodes"][0]) != n:
-                raise ValueError("basis was saved for a different node count")
-            if int(data["m"][0]) != spec.m:
-                raise ValueError("basis was saved for a different kernel order")
-            if "fingerprint" in data.files:
-                _check_fingerprint(str(data["fingerprint"][0]), nodes)
-            M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
-            # files of the earlier layout store a number for M also where
-            # fixed_n set the size and M had no effect
-            rule = FootprintRule(
-                mode=str(data["mode"][0]),
-                M=None if math.isnan(M) or fixed >= 0 else M,
-                fixed_n=None if fixed < 0 else fixed,
-            )
-            A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
-            C = np.array(data["C"])
-            if C.shape != (spec.poly_dim, n):
-                raise ValueError(
-                    f"harmonic block has shape {C.shape}, expected (m^2, N) = {(spec.poly_dim, n)}"
-                )
-            return LocalBasis(nodes, spec, A, C, rule)
-
-    meta = {}
-    data_rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, _, val = tok.partition("=")
-                        meta[key] = val
-                continue
-            if line.startswith("kind,"):
-                continue
-            data_rows.append(line)
-    # metadata first: a mismatched node set must fail cleanly, not via a
-    # column index landing outside the allocation below
-    if meta.get("N") is not None and int(meta["N"]) != n:
-        raise ValueError("basis was saved for a different node count")
-    if meta.get("m") is not None and int(meta["m"]) != spec.m:
-        raise ValueError("basis was saved for a different kernel order")
-    if meta.get("fingerprint") is not None:
-        _check_fingerprint(meta["fingerprint"], nodes)
-    cols, rows, vals = [], [], []
-    C = np.zeros((spec.poly_dim, n))
-    have_c = np.zeros(C.shape, dtype=bool)
-    for line in data_rows:
-        kind, col, idx, value = line.split(",")
-        col, idx = int(col), int(idx)
-        if not 0 <= col < n:
-            raise ValueError(f"basis record column {col} is outside 0..{n - 1}")
-        if kind == "k":
-            cols.append(col)
-            rows.append(idx)
-            vals.append(float(value))
-        elif kind == "p":
-            if not 0 <= idx < spec.poly_dim:
-                raise ValueError(f"harmonic index {idx} is outside 0..{spec.poly_dim - 1}")
-            if have_c[idx, col]:
-                raise ValueError(f"harmonic record ({col}, {idx}) appears twice")
-            have_c[idx, col] = True
-            C[idx, col] = float(value)
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
-    rule = FootprintRule(
-        mode=meta.get("mode", "count"),
-        M=float(meta["M"]) if meta.get("M") and not meta.get("fixed_n") else None,
-        fixed_n=int(meta["fixed_n"]) if meta.get("fixed_n") else None,
-    )
-    # rows are range-checked, and must not repeat in a column, in validated_csc
-    cols, rows = np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
-    empty = np.flatnonzero(np.bincount(cols, minlength=n) == 0)
-    if empty.size:
-        raise ValueError(f"basis column {empty[0]} has no kernel records ({empty.size} columns)")
-    short = np.flatnonzero(~have_c.all(axis=0))
-    if short.size:
-        raise ValueError(
-            f"basis column {short[0]} lacks some of its {spec.poly_dim} harmonic records "
-            f"({short.size} columns)"
+    with _open_basis(path) as data:
+        if int(data["n_nodes"][0]) != n:
+            raise ValueError("basis was saved for a different node count")
+        if int(data["m"][0]) != spec.m:
+            raise ValueError("basis was saved for a different kernel order")
+        if "fingerprint" in data.files and str(data["fingerprint"][0]) != nodes.fingerprint():
+            raise ValueError("basis was saved for a different node set (fingerprint mismatch)")
+        M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
+        # files of the earlier layout store a number for M also where
+        # fixed_n set the size and M had no effect
+        rule = FootprintRule(
+            mode=str(data["mode"][0]),
+            M=None if math.isnan(M) or fixed >= 0 else M,
+            fixed_n=None if fixed < 0 else fixed,
         )
-    order = np.lexsort((rows, cols))
-    indptr = np.searchsorted(cols[order], np.arange(n + 1))
-    A = validated_csc((n, n), indptr, rows[order], np.array(vals)[order])
-    return LocalBasis(nodes, spec, A, C, rule)
+        A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
+        C = np.array(data["C"])
+        if C.shape != (spec.poly_dim, n):
+            raise ValueError(
+                f"harmonic block has shape {C.shape}, expected (m^2, N) = {(spec.poly_dim, n)}"
+            )
+        return LocalBasis(nodes, spec, A, C, rule)

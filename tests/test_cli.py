@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spherelag import NodeSet, load_nodes, save_nodes
+from spherelag import NodeSet, ensure_stats, gen_icosahedral, load_nodes, save_nodes
 from spherelag.cli import main
 
 
@@ -287,7 +287,6 @@ def test_solve_nonconvergence_still_reports(node_file, basis_file, tmp_path, cap
             "--basis", str(basis_file),
             "--tol", "1e-15",
             "--maxit", "1",
-            "--x0", "zero",
             "--report", str(report),
         ]
     )
@@ -346,10 +345,37 @@ def test_build_rejects_bad_footprint_values(node_file, tmp_path, capsys, flag, v
     assert not out.exists()
 
 
-def test_build_csv_format(node_file, tmp_path):
-    out = tmp_path / "b.csv"
-    assert main(["build", "--nodes", str(node_file), "--n", "30", "--format", "csv", "--out", str(out)]) == 0
-    assert out.read_text().startswith("# spherelag local basis")
+def test_build_writes_exactly_the_out_path(node_file, tmp_path):
+    basis = tmp_path / "basis.bin"
+    assert main(["build", "--nodes", str(node_file), "--out", str(basis)]) == 0
+    assert main(["solve", "--nodes", str(node_file), "--basis", str(basis)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.bin"]
+
+
+@pytest.mark.parametrize(
+    "kind, detail",
+    [
+        ("text", ""),  # a node file, or a basis in the csv format of earlier versions
+        ("other-arrays", ": it lacks colptr, rowidx, values, C, m, n_nodes, mode, M, fixed_n"),
+        ("truncated", ""),
+        ("npy", ": it holds a single array"),
+    ],
+)
+def test_solve_rejects_a_file_that_is_not_a_basis(node_file, basis_file, tmp_path, capsys, kind, detail):
+    path = tmp_path / "other.npz"
+    if kind == "text":
+        path.write_bytes(node_file.read_bytes())
+    elif kind == "truncated":
+        data = basis_file.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        with open(path, "wb") as fh:
+            if kind == "npy":
+                np.save(fh, np.arange(3))
+            else:
+                np.savez(fh, x=np.arange(3))
+    argv = ["solve", "--nodes", str(node_file), "--basis", str(path)]
+    assert_domain_error(argv, capsys, f"{path} is not a spherelag npz basis file{detail}\n")
 
 
 def test_gram_analytic_table(capsys):
@@ -417,6 +443,22 @@ def test_study_table_summary(node_file, tmp_path):
     fields = rows[1].split(",")
     assert fields[0] == "400"
     assert float(fields[3]) > 0.5 and float(fields[5]) > 0.5
+
+
+def test_study_table_writes_the_icosahedral_size_it_ran(tmp_path):
+    # 400 is rounded to the nearest family member, level 3 with 642 nodes
+    out = tmp_path / "summary.csv"
+    argv = ["study", "table1", "--kind", "icosahedral", "--sizes", "400", "--out", str(out)]
+    assert main(argv) == 0
+    fields = body_lines(out.read_text())[1].split(",")
+    assert fields[0] == "642"
+    assert float(fields[1]) == ensure_stats(gen_icosahedral(3)).h
+
+
+@pytest.mark.parametrize("size", ["0", "2", "5", "11"])
+def test_study_rejects_an_icosahedral_size_below_12(capsys, size):
+    argv = ["study", "table1", "--kind", "icosahedral", "--sizes", size]
+    assert_domain_error(argv, capsys, f"icosahedral sizes start at 12 nodes (level 0), got {size}")
 
 
 def test_usage_errors_exit_two(capsys):

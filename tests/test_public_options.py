@@ -1,16 +1,19 @@
-"""The option surface of the package: every exported callable and its keyword options.
+"""The option surface: every exported callable's keyword options, and every CLI flag.
 
 A keyword option is a parameter with a default, keyword-only or not; the
 fields of a dataclass are the parameters of its constructor, so a field with a
 default counts too. Public methods of exported classes are listed as
 Class.method. Adding or removing a callable or an option fails this test until
 OPTIONS changes with it, so each change to the surface is made on purpose.
+FLAGS does the same for the long options of each command of the CLI.
 """
 
+import argparse
 import inspect
 import types
 
 import spherelag
+from spherelag import cli
 
 OPTIONS = {
     "CapGramReport": (),
@@ -65,7 +68,7 @@ OPTIONS = {
     "gmres": ("x0", "tol", "maxit"),
     "gram_discrete": (),
     "harmonic_basis_for": (),
-    "interpolate_preconditioned": ("tol", "maxit", "x0", "materialize_limit"),
+    "interpolate_preconditioned": ("tol", "maxit", "materialize_limit"),
     "kernel_matrix": ("pts_b",),
     "kernel_sum": (),
     "knn": (),
@@ -76,12 +79,25 @@ OPTIONS = {
     "min_eig_ratio": (),
     "probe_sequence": (),
     "quasi_interpolate": (),
-    "save_basis": ("fmt",),
+    "save_basis": (),
     "save_nodes": (),
     "sphere_point": (),
     "spmv": (),
     "sym_eig_minmax": (),
     "validated_csc": (),
+}
+
+# Long options of each command line, "" for the top level, without --help.
+FLAGS = {
+    "": ("--seed",),
+    "nodes": (),
+    "nodes gen": ("--kind", "--level", "--freq", "--n", "--out"),
+    "nodes stats": ("--probe", "--out"),
+    "build": ("--nodes", "--m", "--M", "--n", "--radius-K", "--grow-on-failure", "--out"),
+    "solve": ("--nodes", "--basis", "--m", "--data", "--tol", "--maxit", "--out", "--report"),
+    "eval": ("--nodes", "--coeffs", "--m", "--at", "--out"),
+    "gram": ("--r", "--nodes", "--cap-center", "--out"),
+    "study": ("--nodes", "--m", "--center-idx", "--kind", "--sizes", "--f", "--out"),
 }
 
 
@@ -118,3 +134,21 @@ def test_the_option_surface_matches_the_table():
     assert not (added or removed or changed), (
         f"callables added {added}, removed {removed}; options changed (table, now): {changed}"
     )
+
+
+def long_options(parser, command=""):
+    """{command: long options} of parser and, recursively, of its subcommands."""
+    table = {command: ()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(long_options(sub, f"{command} {name}".strip()))
+        else:
+            table[command] += tuple(
+                o for o in action.option_strings if o.startswith("--") and o != "--help"
+            )
+    return table
+
+
+def test_the_cli_flags_match_the_table():
+    assert long_options(cli.build_parser()) == FLAGS
