@@ -53,7 +53,6 @@ from .locallag import (
     QuasiInterpolant,
     StencilFailureError,
     build_local_basis,
-    default_footprint,
     eval_local_function,
     interpolate_preconditioned,
     load_basis,

@@ -30,6 +30,7 @@ from .geom import (
     gen_fibonacci,
     gen_icosahedral,
     gen_icosahedral_freq,
+    geodesic_distance,
     load_nodes,
     mesh_stats,
     save_nodes,
@@ -124,42 +125,55 @@ def _save_coeffs(path, a, c, config, spec, nodes):
 
 
 def _load_coeffs(path, nodes, spec):
-    """Inverse of _save_coeffs; the N= m= line must match the nodes and --m.
+    """Inverse of _save_coeffs; an N= m= line must precede the rows and match the nodes and --m.
 
     A fingerprint on that line must match the nodes; files written before
     fingerprints were stored are read without the check. Every a index
     0..N-1 and c index 0..m^2-1 must appear exactly once, with a finite value.
+    A malformed line is an error naming path and its line number.
     """
     n = len(nodes)
     coeffs = {"a": np.zeros(n), "c": np.zeros(spec.poly_dim)}
     seen = {kind: np.zeros(target.size, dtype=bool) for kind, target in coeffs.items()}
+    has_meta = False
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("# N="):
-                meta = dict(tok.split("=", 1) for tok in line[1:].split())
-                if int(meta["N"]) != n or int(meta["m"]) != spec.m:
+                try:
+                    meta = dict(tok.split("=", 1) for tok in line[1:].split())
+                    file_n, file_m = int(meta["N"]), int(meta["m"])
+                except (ValueError, KeyError):
+                    raise ValueError(f"{path}: line {lineno}: expected # N=<int> m=<int>") from None
+                if file_n != n or file_m != spec.m:
                     raise ValueError(
-                        f"{path}: coefficients are for N={meta['N']} m={meta['m']}, "
+                        f"{path}: coefficients are for N={file_n} m={file_m}, "
                         f"not N={n} m={spec.m}"
                     )
                 stored = meta.get("fingerprint")
                 if stored is not None and stored != nodes.fingerprint():
                     raise ValueError(f"{path}: coefficients are for a different node set")
+                has_meta = True
             if not line or line.startswith("#") or line.startswith("kind,"):
                 continue
-            kind, idx, value = line.split(",")
+            if not has_meta:
+                raise ValueError(f"{path}: no '# N=<int> m=<int>' line before line {lineno}")
+            try:
+                kind, idx, value = line.split(",")
+                idx, value = int(idx), float(value)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected kind,idx,value") from None
             if kind not in coeffs:
                 raise ValueError(f"{path}: unknown coefficient kind {kind!r}")
-            idx, target = int(idx), coeffs[kind]
+            target = coeffs[kind]
             if not 0 <= idx < target.size:
                 raise ValueError(f"{path}: {kind} index {idx} is outside 0..{target.size - 1}")
             if seen[kind][idx]:
                 raise ValueError(f"{path}: {kind} index {idx} appears twice")
-            seen[kind][idx] = True
-            target[idx] = float(value)
-            if not math.isfinite(target[idx]):
+            if not math.isfinite(value):
                 raise ValueError(f"{path}: {kind} index {idx} is not finite")
+            seen[kind][idx] = True
+            target[idx] = value
     for kind, got in seen.items():
         missing = np.flatnonzero(~got)
         if missing.size:
@@ -171,16 +185,11 @@ def _load_coeffs(path, nodes, spec):
 
 
 def _footprint_from_args(args):
-    chosen = [x for x in (args.n, args.M, args.radius_K) if x is not None]
-    if len(chosen) > 1:
-        raise ValueError("give at most one of --n, --M, --radius-K")
     if args.n is not None:
-        return FootprintRule(fixed_n=int(args.n))
-    if args.M is not None:
-        return FootprintRule(mode="count", M=float(args.M))
+        return FootprintRule(fixed_n=args.n)
     if args.radius_K is not None:
-        return FootprintRule(mode="radius", M=float(args.radius_K))
-    return FootprintRule()
+        return FootprintRule(mode="radius", M=args.radius_K)
+    return FootprintRule(M=args.M)  # M None: the default count rule
 
 
 # ---- subcommands ---- #
@@ -213,8 +222,7 @@ def cmd_nodes_stats(args, config):
 def cmd_build(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
-    rule = _footprint_from_args(args)
-    basis = build_local_basis(nodes, spec, rule, grow_on_failure=args.grow_on_failure)
+    basis = build_local_basis(nodes, spec, _footprint_from_args(args))
     save_basis(args.out, basis)
     return 0
 
@@ -324,17 +332,16 @@ def cmd_gram(args, config):
     ]
     if args.nodes:
         nodes = load_nodes(args.nodes)
-        lon, lat = (float(x) for x in args.cap_center.split(","))
+        try:
+            lon, lat = (math.radians(float(x)) for x in args.cap_center.split(","))
+        except ValueError:
+            raise ValueError(f"--cap-center {args.cap_center}: expected lon,lat degrees") from None
         try:
             center = sphere_point(
-                math.cos(math.radians(lat)) * math.cos(math.radians(lon)),
-                math.cos(math.radians(lat)) * math.sin(math.radians(lon)),
-                math.sin(math.radians(lat)),
+                math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
             )
         except ValueError as exc:
             raise ValueError(f"--cap-center {args.cap_center}: {exc}") from None
-        from .geom import geodesic_distance
-
         inside = geodesic_distance(center, nodes.points) <= args.r
         report = cap_gram_compare(nodes.points[inside], center, args.r)
         extra += [
@@ -347,7 +354,7 @@ def cmd_gram(args, config):
     return 0
 
 
-def _study_decay(args, config):
+def cmd_study_decay(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
     study = decay_study(nodes, spec, center_idx=args.center_idx)
@@ -373,25 +380,31 @@ _FIELDS = {
 }
 
 
-def _generator(kind):
-    if kind == "fibonacci":
-        return gen_fibonacci
-    if kind == "icosahedral":
-        # interpret the size as a node count of the 10*4^level + 2 family
-        def gen(n):
-            if n < 12:
-                raise ValueError(f"icosahedral sizes start at 12 nodes (level 0), got {n}")
-            level = round(math.log((n - 2) / 10, 4))
-            return gen_icosahedral(level)
+def _study_sets(args):
+    """The node set of each of --sizes; two sizes that give the same set are an error.
 
-        return gen
-    raise ValueError(f"unknown node kind {kind!r}")
+    An icosahedral size is rounded to the nearest member of the 10*4^level + 2 family.
+    """
+    sets, first = [], {}
+    for size in (int(s) for s in args.sizes.split(",")):
+        if args.kind == "fibonacci":
+            nodes = gen_fibonacci(size)
+        elif size < 12:
+            raise ValueError(f"icosahedral sizes start at 12 nodes (level 0), got {size}")
+        else:
+            nodes = gen_icosahedral(round(math.log((size - 2) / 10, 4)))
+        count = len(nodes)
+        if count in first:
+            raise ValueError(f"sizes {first[count]} and {size} both give the {count}-node set")
+        first[count] = size
+        sets.append(nodes)
+    return sets
 
 
-def _study_convergence(args, config):
+def cmd_study_convergence(args, config):
     spec = KernelSpec(args.m)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = convergence_study(_generator(args.kind), sizes, spec, _FIELDS[args.f])
+    # the sets are made before the first solve, so the generator hands each one on
+    rows = convergence_study(lambda nodes: nodes, _study_sets(args), spec, _FIELDS[args.f])
     write_csv(
         args.out,
         ["n_nodes", "h", "err_interp", "err_quasi", "order_interp", "order_quasi"],
@@ -405,13 +418,10 @@ def _study_convergence(args, config):
     return 0
 
 
-def _study_table1(args, config):
+def cmd_study_table1(args, config):
     spec = KernelSpec(args.m)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    gen = _generator(args.kind)
     rows = []
-    for n in sizes:
-        nodes = gen(n)  # an icosahedral size is rounded to a family member
+    for nodes in _study_sets(args):
         study = decay_study(nodes, spec)
         rows.append(
             (
@@ -432,14 +442,6 @@ def _study_table1(args, config):
         extra=[f"kind={args.kind} m={spec.m}"],
     )
     return 0
-
-
-def cmd_study(args, config):
-    if args.what == "decay":
-        return _study_decay(args, config)
-    if args.what == "convergence":
-        return _study_convergence(args, config)
-    return _study_table1(args, config)
 
 
 # ---- parser ---- #
@@ -470,10 +472,10 @@ def build_parser():
     build = sub.add_parser("build", help="build and save a local Lagrange basis")
     build.add_argument("--nodes", required=True)
     build.add_argument("--m", type=int, default=2)
-    build.add_argument("--M", type=float, default=None, help="count rule multiplier (natural log)")
-    build.add_argument("--n", type=int, default=None, help="fixed footprint size")
-    build.add_argument("--radius-K", type=float, default=None, help="radius rule K*h*log(1/h)")
-    build.add_argument("--grow-on-failure", action="store_true")
+    size = build.add_mutually_exclusive_group()
+    size.add_argument("--M", type=float, default=None, help="count rule multiplier (natural log)")
+    size.add_argument("--n", type=int, default=None, help="fixed footprint size")
+    size.add_argument("--radius-K", type=float, default=None, help="radius rule K*h*log(1/h)")
     build.add_argument("--out", required=True)
     build.set_defaults(func=cmd_build)
 
@@ -504,15 +506,23 @@ def build_parser():
     gram.set_defaults(func=cmd_gram)
 
     study = sub.add_parser("study", help="decay, convergence, and summary-table studies")
-    study.add_argument("what", choices=["decay", "convergence", "table1"])
-    study.add_argument("--nodes", default=None)
-    study.add_argument("--m", type=int, default=2)
-    study.add_argument("--center-idx", type=int, default=None)
-    study.add_argument("--kind", choices=["fibonacci", "icosahedral"], default="fibonacci")
-    study.add_argument("--sizes", default="400,900,1600")
-    study.add_argument("--f", choices=sorted(_FIELDS), default="expz")
-    study.add_argument("--out", default=None)
-    study.set_defaults(func=cmd_study)
+    study_sub = study.add_subparsers(dest="study_command", required=True)
+    decay = study_sub.add_parser("decay", help="decay of one local Lagrange function")
+    decay.add_argument("--nodes", required=True)
+    decay.add_argument("--m", type=int, default=2)
+    decay.add_argument("--center-idx", type=int, default=None)
+    decay.add_argument("--out", default=None)
+    decay.set_defaults(func=cmd_study_decay)
+    conv = study_sub.add_parser("convergence", help="interpolation and quasi-interpolation errors")
+    table = study_sub.add_parser("table1", help="decay rates over a ladder of node sets")
+    for ladder in (conv, table):
+        ladder.add_argument("--m", type=int, default=2)
+        ladder.add_argument("--kind", choices=["fibonacci", "icosahedral"], default="fibonacci")
+        ladder.add_argument("--sizes", default="400,900,1600")
+    conv.add_argument("--f", choices=sorted(_FIELDS), default="expz")
+    for ladder, func in ((conv, cmd_study_convergence), (table, cmd_study_table1)):
+        ladder.add_argument("--out", default=None)
+        ladder.set_defaults(func=func)
     return parser
 
 

@@ -183,7 +183,7 @@ def convergence_study(generator, sizes, spec, f, footprint=None):
     generator(N) must return a NodeSet; f maps (P, 3) points to values. Errors
     are sup over the first CONVERGENCE_PROBES probe points; observed orders
     between consecutive levels use the measured fill distances. footprint None
-    means the practical default size per level.
+    means FootprintRule(), the default count rule, at every level.
     """
     probes = probe_sequence(CONVERGENCE_PROBES)
     f_ref = np.asarray(f(probes), dtype=np.float64)

@@ -44,13 +44,11 @@ class MeshStats:
 class NodeSet:
     """Ordered set of distinct, finite unit vectors.
 
-    `stats` is a cache slot filled by ensure_stats; `n_normalized` counts input
-    rows that had to be rescaled onto the sphere at load time.
+    `stats` is a cache slot filled by ensure_stats.
     """
 
     points: np.ndarray
     stats: MeshStats | None = None
-    n_normalized: int = 0
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -398,10 +396,9 @@ def load_nodes(path):
         lineno = line_numbers[int(np.argmin(norms))]
         raise NodeFileError(f"{path}: line {lineno}: zero vector cannot be normalized")
     off = np.abs(norms - 1.0) > UNIT_TOL
-    n_normalized = int(off.sum())
-    if n_normalized:
+    if off.any():
         arr[off] /= norms[off, None]
-        warnings.warn(f"{path}: normalized {n_normalized} non-unit rows", stacklevel=2)
+        warnings.warn(f"{path}: normalized {int(off.sum())} non-unit rows", stacklevel=2)
 
     seen = {}
     for k in range(arr.shape[0]):
@@ -411,4 +408,4 @@ def load_nodes(path):
                 f"{path}: lines {seen[key]} and {line_numbers[k]}: duplicate node"
             )
         seen[key] = line_numbers[k]
-    return NodeSet(arr, n_normalized=n_normalized)
+    return NodeSet(arr)

@@ -62,31 +62,21 @@ class StencilFailureError(RuntimeError):
         )
 
 
-def default_footprint(n_nodes, m=2):
-    """Practical footprint size 7 * ceil(log10(N)^2), floored at m^2 + 1.
-
-    Gives 84, 119, 140, 154, 175, 196 for N = 2562, 10242, 23042, 40962,
-    92162, 163842.
-
-    This is the paper's preconditioning size. It does not bound the gap to the
-    full Lagrange function: that gap is 1.1e-1 at N = 900 and 4.6e-2 at
-    N = 2562. FootprintRule(M=11.0) is the wide rule for tight agreement; the
-    measurements are in docs/decisions.md.
-    """
-    n_nodes = int(n_nodes)
-    grown = 7 * math.ceil(math.log10(n_nodes) ** 2) if n_nodes > 1 else 1
-    return min(n_nodes, max(m * m + 1, grown))
-
-
 @dataclass(frozen=True)
 class FootprintRule:
-    """How big the neighborhood of each center is.
+    """How big the neighborhood of each center is; an input to the build only.
 
-    count mode: fixed_n pins the size directly; otherwise a given M gives
-    n(N) = min(N, max(m^2 + 1, round(M * log(N)^2))) with natural log, and
-    without M the size is default_footprint(N, m). radius mode: r(h) =
+    count mode: n(N) = min(N, max(m^2 + 1, target)), where fixed_n pins the
+    target, a given M makes it round(M * log(N)^2) with natural log, and the
+    default FootprintRule() makes it 7 * ceil(log10(N)^2). radius mode: r(h) =
     M*h*log(1/h) and the footprint is a geodesic ball. M must be finite and
     positive, fixed_n at least 1, and a rule takes at most one of them.
+
+    The default gives 63, 84, 119, 140, 154, 175, 196 nodes at N = 900, 2562,
+    10242, 23042, 40962, 92162, 163842. This is the paper's preconditioning
+    size. It does not bound the gap to the full Lagrange function: that gap is
+    1.1e-1 at N = 900 and 4.6e-2 at N = 2562. FootprintRule(M=11.0) is the
+    wide rule for tight agreement; the measurements are in docs/decisions.md.
     """
 
     mode: str = "count"
@@ -111,10 +101,12 @@ class FootprintRule:
             raise ValueError("stencil_count applies to count mode only")
         if self.fixed_n is not None:
             target = int(self.fixed_n)
+        elif n_nodes <= 1:
+            target = 1
         elif self.M is None:
-            return default_footprint(n_nodes, m)
+            target = 7 * math.ceil(math.log10(n_nodes) ** 2)
         else:
-            target = round(self.M * math.log(n_nodes) ** 2) if n_nodes > 1 else 1
+            target = round(self.M * math.log(n_nodes) ** 2)
         return min(n_nodes, max(m * m + 1, target))
 
     def stencil_radius(self, h):
@@ -130,30 +122,30 @@ class LocalBasis:
     """Sparse local Lagrange basis: column xi of A_sparse lives on Upsilon(xi).
 
     A_sparse is a scipy.sparse.csc_array; its column counts are the footprint
-    sizes, np.diff(A_sparse.indptr). A build records the stencil health:
-    min_pivot_ratio, the smallest min |U_ii| / ||M||_inf over the LU factors of
-    the stencils kept, and grown, the number of centres retried at double size.
-    Basis files do not store them, so a loaded basis has None for both.
+    sizes, np.diff(A_sparse.indptr); the rule that chose them is not kept. A
+    build records the stencil health: min_pivot_ratio, the smallest min |U_ii|
+    / ||M||_inf over the LU factors of the stencils kept, and grown, the number
+    of singular centres retried at double size. Basis files do not store them,
+    so a loaded basis has None for both.
     """
 
     nodes: NodeSet
     spec: KernelSpec
     A_sparse: scipy.sparse.csc_array
     C: np.ndarray
-    footprint: FootprintRule
     min_pivot_ratio: float | None = None
     grown: int | None = None
 
 
-def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
+def build_local_basis(nodes, spec, footprint=None):
     """Solve every footprint system and assemble the sparse basis.
 
-    footprint defaults to FootprintRule(), the practical count rule
-    default_footprint(N, m). It is sized for preconditioning and does not bound
-    the far-field gap to the full basis (4.6e-2 at N = 2562, see
-    docs/decisions.md). With grow_on_failure a singular footprint is retried
-    once at doubled size (count) or doubled radius; remaining failures abort
-    with StencilFailureError listing all affected centers.
+    footprint defaults to FootprintRule(), the practical count rule 7 *
+    ceil(log10(N)^2). It is sized for preconditioning and does not bound the
+    far-field gap to the full basis (4.6e-2 at N = 2562, see
+    docs/decisions.md). A singular footprint is retried once at doubled size
+    (count) or doubled radius; the centres that fail again abort the build
+    with StencilFailureError.
     """
     n = len(nodes)
     if n > MAX_NODES:
@@ -194,9 +186,8 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
         return validated_csc((n, n), start, rows, vals), failed
 
     A, failed = solve(centres, start, rows)
-    grown = 0
-    if failed.size and grow_on_failure:
-        grown = int(failed.size)
+    grown = int(failed.size)
+    if grown:
         retried, failed = solve(failed, *_stencil_layout(n, failed, [grow(i) for i in failed]))
         A = A + retried  # the retried columns are empty in A and the only ones in retried
     if failed.size:
@@ -206,7 +197,6 @@ def build_local_basis(nodes, spec, footprint=None, *, grow_on_failure=False):
         spec=spec,
         A_sparse=A,
         C=C,
-        footprint=footprint,
         min_pivot_ratio=float(ratio.min()),
         grown=grown,
     )
@@ -448,16 +438,16 @@ def interpolate_preconditioned(
 # ---- basis file round trip ---- #
 
 # The arrays of every basis file; files of the earliest layout have no fingerprint.
-_BASIS_KEYS = ("colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n")
+_BASIS_KEYS = ("colptr", "rowidx", "values", "C", "m", "n_nodes")
 
 
 def save_basis(path, basis):
     """Write a LocalBasis to path as an npz file, under exactly that name.
 
-    An unset M is stored as NaN. The file stores the node-set fingerprint,
-    which load_basis checks.
+    The file stores the node-set fingerprint, which load_basis checks, and not
+    the footprint rule: each centre's footprint size is np.diff(colptr).
     """
-    A, rule = basis.A_sparse, basis.footprint
+    A = basis.A_sparse
     # np.savez would append ".npz" to a name without it; a file object keeps the name
     with open(path, "wb") as fh:
         np.savez(
@@ -468,9 +458,6 @@ def save_basis(path, basis):
             C=basis.C,
             m=np.array([basis.spec.m]),
             n_nodes=np.array([len(basis.nodes)]),
-            mode=np.array([rule.mode]),
-            M=np.array([math.nan if rule.M is None else rule.M]),
-            fixed_n=np.array([-1 if rule.fixed_n is None else rule.fixed_n]),
             fingerprint=np.array([basis.nodes.fingerprint()]),
         )
 
@@ -497,7 +484,8 @@ def load_basis(path, nodes, spec):
     A file that is not an npz file with the basis arrays fails with one
     ValueError naming path. A file with a node-set fingerprint must match the
     fingerprint of nodes; files written before fingerprints were stored load
-    without the check.
+    without the check. Arrays of earlier layouts that nothing reads, such as
+    per_center_n and the footprint rule's mode, M and fixed_n, are ignored.
     """
     n = len(nodes)
     with _open_basis(path) as data:
@@ -507,18 +495,10 @@ def load_basis(path, nodes, spec):
             raise ValueError("basis was saved for a different kernel order")
         if "fingerprint" in data.files and str(data["fingerprint"][0]) != nodes.fingerprint():
             raise ValueError("basis was saved for a different node set (fingerprint mismatch)")
-        M, fixed = float(data["M"][0]), int(data["fixed_n"][0])
-        # files of the earlier layout store a number for M also where
-        # fixed_n set the size and M had no effect
-        rule = FootprintRule(
-            mode=str(data["mode"][0]),
-            M=None if math.isnan(M) or fixed >= 0 else M,
-            fixed_n=None if fixed < 0 else fixed,
-        )
         A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
         C = np.array(data["C"])
         if C.shape != (spec.poly_dim, n):
             raise ValueError(
                 f"harmonic block has shape {C.shape}, expected (m^2, N) = {(spec.poly_dim, n)}"
             )
-        return LocalBasis(nodes, spec, A, C, rule)
+        return LocalBasis(nodes, spec, A, C)

@@ -21,7 +21,6 @@ from spherelag.lagrange import eval_columns
 from spherelag.locallag import (
     FootprintRule,
     build_local_basis,
-    default_footprint,
     eval_local_function,
     interpolate_preconditioned,
 )
@@ -77,7 +76,7 @@ def test_criterion_1_gmres_iteration_counts():
 
 def test_criterion_2_footprint_table():
     table = {2562: 84, 10242: 119, 23042: 140, 40962: 154, 92162: 175, 163842: 196}
-    got = {n: default_footprint(n) for n in table}
+    got = {n: FootprintRule().stencil_count(n, 2) for n in table}
     ok = got == table
     report_line(2, ok, f"default footprint sizes {got}")
     assert got == table
@@ -156,7 +155,7 @@ def test_criterion_5_local_full_consistency():
 
     ns900 = fib(900)
     full900 = full_basis(900)
-    n_default = default_footprint(900)
+    n_default = FootprintRule().stencil_count(900, k2.m)
     gap_default = max_column_gap(
         build_local_basis(ns900, k2), full900, pts
     )
@@ -174,7 +173,7 @@ def test_criterion_5_local_full_consistency():
         5,
         ok,
         f"footprint=N at 400: max gap {gap_full:.2e} (limit 1e-8); at 900: "
-        f"default_footprint ({n_default}) {gap_default:.2e}, doubled default "
+        f"default rule ({n_default}) {gap_default:.2e}, doubled default "
         f"({n_doubled}) {gap_doubled:.2e} (must decrease), FootprintRule(M=11) "
         f"({n_wide}) {gap_wide:.2e} (limit 1e-2)",
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherelag import NodeSet, ensure_stats, gen_icosahedral, load_nodes, save_nodes
+from spherelag import cli
 from spherelag.cli import main
 
 
@@ -216,6 +217,30 @@ def test_eval_rejects_coefficients_of_a_mirrored_node_set(tmp_path, capsys):
     assert_domain_error(argv, capsys, "different node set")
 
 
+@pytest.mark.parametrize("edit", ["no-meta", "no-m", "short-row"])
+def test_eval_rejects_malformed_coefficient_files(tmp_path, capsys, edit):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    lines = coeffs.read_text().splitlines(keepends=True)
+    meta = next(i for i, ln in enumerate(lines) if ln.startswith("# N="))
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("a,5,"))
+    if edit == "no-meta":
+        # without the line, nodes with x and y swapped would be taken as the set solved
+        # for; the first row is now the line after the header
+        del lines[meta]
+        swapped = tmp_path / "swapped.txt"
+        save_nodes(swapped, NodeSet(load_nodes(nodes).points[:, [1, 0, 2]]))
+        nodes, match = swapped, f"{coeffs}: no '# N=<int> m=<int>' line before line {meta + 2}"
+    elif edit == "no-m":
+        lines[meta] = "# N=200\n"
+        match = f"{coeffs}: line {meta + 1}: expected # N=<int> m=<int>"
+    else:
+        lines[row] = "a,5\n"
+        match = f"{coeffs}: line {row + 1}: expected kind,idx,value"
+    coeffs.write_text("".join(lines))
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
+    assert_domain_error(argv, capsys, match)
+
+
 def test_eval_rejects_non_finite_points(tmp_path, capsys):
     nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
     at = tmp_path / "at.txt"
@@ -325,10 +350,12 @@ def test_solve_default_maxit_on_fewer_nodes_than_maxit(tmp_path):
 
 
 def test_build_footprint_flags_are_exclusive(node_file, tmp_path, capsys):
-    out = str(tmp_path / "b.npz")
-    code = main(["build", "--nodes", str(node_file), "--n", "40", "--M", "8", "--out", out])
-    assert code == 1
-    assert "at most one" in capsys.readouterr().err
+    out = tmp_path / "b.npz"
+    for other in (["--M", "8"], ["--radius-K", "2"]):
+        code = main(["build", "--nodes", str(node_file), "--n", "40", *other, "--out", str(out)])
+        assert code == 2  # a usage error, like any other flag misuse
+        assert "not allowed with argument --n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -356,7 +383,7 @@ def test_build_writes_exactly_the_out_path(node_file, tmp_path):
     "kind, detail",
     [
         ("text", ""),  # a node file, or a basis in the csv format of earlier versions
-        ("other-arrays", ": it lacks colptr, rowidx, values, C, m, n_nodes, mode, M, fixed_n"),
+        ("other-arrays", ": it lacks colptr, rowidx, values, C, m, n_nodes"),
         ("truncated", ""),
         ("npy", ": it holds a single array"),
     ],
@@ -410,6 +437,12 @@ def test_gram_rejects_a_non_finite_cap_centre(node_file, capsys):
     assert "--cap-center nan,0" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("centre", ["1,2,3", "a,b", "5"])
+def test_gram_rejects_a_malformed_cap_centre(node_file, capsys, centre):
+    argv = ["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", centre]
+    assert_domain_error(argv, capsys, f"--cap-center {centre}: expected lon,lat degrees")
+
+
 def test_study_decay(node_file, tmp_path):
     out = tmp_path / "decay.csv"
     assert main(["study", "decay", "--nodes", str(node_file), "--out", str(out)]) == 0
@@ -459,6 +492,45 @@ def test_study_table_writes_the_icosahedral_size_it_ran(tmp_path):
 def test_study_rejects_an_icosahedral_size_below_12(capsys, size):
     argv = ["study", "table1", "--kind", "icosahedral", "--sizes", size]
     assert_domain_error(argv, capsys, f"icosahedral sizes start at 12 nodes (level 0), got {size}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "decay"],  # --nodes is required
+        ["study", "convergence", "--nodes", "n.txt"],
+        ["study", "table1", "--f", "expz"],
+        ["study", "decay", "--nodes", "n.txt", "--sizes", "400"],
+        ["study", "--sizes", "400"],
+    ],
+    ids=["decay-no-nodes", "convergence-nodes", "table1-f", "decay-sizes", "no-command"],
+)
+def test_study_commands_take_only_their_own_flags(capsys, argv):
+    assert main(argv) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["convergence", "table1"])
+@pytest.mark.parametrize(
+    "kind, sizes, first, second, n_nodes",
+    [
+        ("icosahedral", "12,13", 12, 13, 12),
+        ("icosahedral", "100,160", 100, 160, 162),
+        ("icosahedral", "642,400", 642, 400, 642),
+        ("fibonacci", "200,300,200", 200, 200, 200),
+    ],
+)
+def test_study_rejects_sizes_that_give_one_node_set(
+    monkeypatch, capsys, command, kind, sizes, first, second, n_nodes
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a study solved before it checked its sizes")
+
+    monkeypatch.setattr(cli, "convergence_study", no_solve)
+    monkeypatch.setattr(cli, "decay_study", no_solve)
+    argv = ["study", command, "--kind", kind, "--sizes", sizes]
+    match = f"sizes {first} and {second} both give the {n_nodes}-node set"
+    assert_domain_error(argv, capsys, match)
 
 
 def test_usage_errors_exit_two(capsys):

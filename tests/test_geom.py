@@ -295,9 +295,10 @@ def test_save_load_round_trip_is_exact(tmp_path):
     ns = fib(137)
     path = tmp_path / "nodes.txt"
     sl.save_nodes(path, ns)
-    again = sl.load_nodes(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no row needs normalizing
+        again = sl.load_nodes(path)
     assert np.array_equal(again.points, ns.points)
-    assert again.n_normalized == 0
 
 
 def test_load_skips_comments_and_blank_lines(tmp_path):
@@ -341,9 +342,8 @@ def test_load_rejects_zero_rows_and_empty_files(tmp_path):
 def test_load_normalizes_off_sphere_rows_with_warning(tmp_path):
     path = tmp_path / "nodes.txt"
     path.write_text("2.0 0.0 0.0\n0.0 1.0 0.0\n")
-    with pytest.warns(UserWarning, match="normalized 1"):
+    with pytest.warns(UserWarning, match="normalized 1 non-unit rows"):
         ns = sl.load_nodes(path)
-    assert ns.n_normalized == 1
     assert np.allclose(ns.points[0], [1.0, 0.0, 0.0], atol=1e-15)
 
 

@@ -19,7 +19,6 @@ from spherelag.locallag import (
     KernelMatvec,
     StencilFailureError,
     build_local_basis,
-    default_footprint,
     eval_local_function,
     interpolate_preconditioned,
     load_basis,
@@ -42,17 +41,17 @@ def column(A, j):
     return A.indices[col], A.data[col]
 
 
-def test_default_footprint_reference_sizes():
-    sizes = {2562: 84, 10242: 119, 23042: 140, 40962: 154, 92162: 175, 163842: 196}
+def test_default_rule_reference_sizes():
+    sizes = {900: 63, 2562: 84, 10242: 119, 23042: 140, 40962: 154, 92162: 175, 163842: 196}
     for n, expected in sizes.items():
-        assert default_footprint(n) == expected
+        assert FootprintRule().stencil_count(n, 2) == expected
 
 
-def test_default_footprint_clamps():
-    assert default_footprint(3) == 3          # cannot exceed the node count
-    assert default_footprint(10) == 7
-    assert default_footprint(20, m=4) == 17   # m^2 + 1 floor
-    assert default_footprint(1) == 1
+def test_default_rule_clamps():
+    assert FootprintRule().stencil_count(3, 2) == 3     # cannot exceed the node count
+    assert FootprintRule().stencil_count(10, 2) == 7
+    assert FootprintRule().stencil_count(20, 4) == 17   # m^2 + 1 floor
+    assert FootprintRule().stencil_count(1, 2) == 1
 
 
 def test_footprint_rule_validation():
@@ -82,6 +81,7 @@ def test_footprint_rule_validation():
         ({"M": 11.0, "fixed_n": 40}, "M or fixed_n, not both"),
         ({"mode": "radius", "M": 2.0, "fixed_n": 40}, "M or fixed_n, not both"),
         ({"mode": "radius", "fixed_n": 40}, "needs M"),
+        ({"mode": "radius"}, "needs M"),
     ],
 )
 def test_footprint_rule_rejects_bad_sizes(kwargs, match):
@@ -94,14 +94,6 @@ def test_footprint_rule_count_modes():
     assert FootprintRule(fixed_n=30).stencil_count(12, 2) == 12
     assert FootprintRule(M=11.0).stencil_count(400, 2) == round(11.0 * np.log(400.0) ** 2)
     assert FootprintRule(M=1e-6).stencil_count(400, 3) == 10  # m^2 + 1 floor
-
-
-def test_default_rule_is_default_footprint():
-    for n in (900, 2562, 10242, 23042):
-        assert FootprintRule().stencil_count(n, 2) == default_footprint(n)
-    assert FootprintRule().stencil_count(20, 4) == default_footprint(20, m=4)
-    with pytest.raises(ValueError, match="needs M"):
-        FootprintRule(mode="radius")
 
 
 def test_columns_are_cardinal_on_their_footprints():
@@ -123,7 +115,7 @@ def test_cardinality_holds_for_higher_order_kernels():
 
 def test_per_center_counts_match_storage():
     basis = local_basis(300)
-    n_sten = basis.footprint.stencil_count(300, 2)
+    n_sten = FootprintRule().stencil_count(300, 2)
     per_center_n = np.diff(basis.A_sparse.indptr)
     assert np.all(per_center_n == n_sten)
     assert basis.A_sparse.data.size == per_center_n.sum() == basis.A_sparse.nnz
@@ -166,30 +158,41 @@ def test_degenerate_footprints_raise_with_centers():
         assert sorted(exc.centers) == list(range(30))
 
 
-def test_grow_on_failure_recovers_from_clustered_rings():
+def test_singular_stencils_are_retried_at_double_size():
     # 30 nodes on a tight polar circle plus 60 scattered ones: the initial
     # stencils of the ring nodes stay inside the ring, the doubled ones escape
     ring = ring_nodes(30, np.cos(0.05))
     far = fib(60).points
     keep = far[np.abs(far @ np.array([0.0, 0.0, 1.0])) < 0.95]
     ns = sl.NodeSet(np.vstack([ring, keep]))
-    with pytest.raises(StencilFailureError) as info:
-        build_local_basis(ns, spec(2))
-    basis = build_local_basis(ns, spec(2), grow_on_failure=True)
+    *_, retried = per_stencil_reference(ns, spec(2), *queried_stencils(ns, FootprintRule(), 2))
+    basis = build_local_basis(ns, spec(2))
     for i in (0, 15):
         rows, _ = column(basis.A_sparse, i)
         vals = eval_local_function(basis, i, ns.points[rows])
         assert np.abs(vals - (rows == i)).max() < 1e-8
-    assert basis.grown == len(info.value.centers) > 0
+    assert basis.grown == len(retried) > 0
     assert PIVOT_RTOL < basis.min_pivot_ratio < 1.0
     plain = local_basis(150)
     assert plain.grown == 0 and PIVOT_RTOL < plain.min_pivot_ratio < 1.0
 
 
-def per_stencil_reference(nodes, sp, stencils, grow=None):
+def queried_stencils(nodes, rule, m):
+    """The stencils a build with rule queries, in centre order, and its retry query of centre i."""
+    index, n = sl.build_index(nodes), len(nodes)
+    if rule.mode == "count":
+        size = rule.stencil_count(n, m)
+        return sl.knn_all(index, size), lambda i: sl.knn(index, i, min(n, 2 * size))
+    r = rule.stencil_radius(sl.ensure_stats(nodes).h)
+    grow = lambda i: sl.ball(index, nodes.points[i], 2 * r)
+    return [sl.ball(index, p, r) for p in nodes.points], grow
+
+
+def per_stencil_reference(nodes, sp, stencils, grow):
     """Dense A, C, smallest pivot ratio and retried centres from one factor_solve per stencil.
 
-    The pivot ratios come from a separate scipy.linalg.lu_factor of each matrix.
+    A singular stencil is retried once on grow(i), as the build does. The pivot
+    ratios come from a separate scipy.linalg.lu_factor of each matrix.
     """
     n = len(nodes)
     A, C = np.zeros((n, n)), np.empty((sp.poly_dim, n))
@@ -208,8 +211,6 @@ def per_stencil_reference(nodes, sp, stencils, grow=None):
         try:
             a, C[:, i] = cardinal(stencil)
         except SingularSystemError:
-            if grow is None:
-                raise
             grown.append(i)
             stencil = grow(i)
             a, C[:, i] = cardinal(stencil)
@@ -226,30 +227,24 @@ def clustered_ring_in_the_middle():
 
 
 BUILD_CASES = {
-    "count": (lambda: fib(900), 2, FootprintRule(), False),
-    "radius": (lambda: fib(400), 2, FootprintRule(mode="radius", M=2.0), False),
-    "m3": (lambda: fib(900), 3, FootprintRule(), False),
-    "fixed400": (lambda: fib(500), 2, FootprintRule(fixed_n=400), False),
-    "grown": (clustered_ring_in_the_middle, 2, FootprintRule(), True),
+    "count": (lambda: fib(900), 2, FootprintRule()),
+    "radius": (lambda: fib(400), 2, FootprintRule(mode="radius", M=2.0)),
+    "m3": (lambda: fib(900), 3, FootprintRule()),
+    "fixed400": (lambda: fib(500), 2, FootprintRule(fixed_n=400)),
+    "grown": (clustered_ring_in_the_middle, 2, FootprintRule()),
 }
 
 
-@pytest.mark.parametrize("nodes, m, rule, grow", list(BUILD_CASES.values()), ids=list(BUILD_CASES))
-def test_batched_build_matches_per_stencil_solves(nodes, m, rule, grow):
-    nodes, sp = nodes(), spec(m)
-    index = sl.build_index(nodes)
-    n = len(nodes)
-    if rule.mode == "count":
-        size = rule.stencil_count(n, m)
-        stencils = sl.knn_all(index, size)
-        grow_fn = lambda i: sl.knn(index, i, min(n, 2 * size))
-    else:
-        r = rule.stencil_radius(sl.ensure_stats(nodes).h)
-        stencils = [sl.ball(index, p, r) for p in nodes.points]
+@pytest.mark.parametrize("case", list(BUILD_CASES))
+def test_batched_build_matches_per_stencil_solves(case):
+    make, m, rule = BUILD_CASES[case]
+    nodes, sp = make(), spec(m)
+    stencils, grow = queried_stencils(nodes, rule, m)
+    if rule.mode == "radius":
         assert len({s.size for s in stencils}) > 1
-    A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow_fn if grow else None)
-    basis = build_local_basis(nodes, sp, rule, grow_on_failure=grow)
-    assert basis.grown == len(grown) and (len(grown) > 0) == grow
+    A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow)
+    basis = build_local_basis(nodes, sp, rule)
+    assert basis.grown == len(grown) and (len(grown) > 0) == (case == "grown")
     # the build and factor_solve both factor through lu_solve on one BLAS
     # thread: bitwise at any thread count
     assert np.array_equal(basis.A_sparse.toarray(), A)
@@ -273,12 +268,12 @@ def assert_same_basis(a, b):
 
 @pytest.mark.parametrize("case", ["count", "radius", "fixed400", "grown"])
 def test_pooled_build_is_bitwise_the_one_worker_build(monkeypatch, case):
-    make, m, rule, grow = BUILD_CASES[case]
+    make, m, rule = BUILD_CASES[case]
     nodes = make()
     builds = []
     for workers in (1, 2):
         monkeypatch.setattr(solver, "WORKERS", workers)
-        builds.append(build_local_basis(nodes, spec(m), rule, grow_on_failure=grow))
+        builds.append(build_local_basis(nodes, spec(m), rule))
     assert_same_basis(*builds)
 
 
@@ -522,21 +517,20 @@ def test_npz_round_trip(tmp_path):
     assert np.array_equal(back.A_sparse.indices, basis.A_sparse.indices)
     assert np.array_equal(back.A_sparse.data, basis.A_sparse.data)
     assert np.array_equal(back.C, basis.C)
-    assert back.footprint == basis.footprint == FootprintRule()
     with np.load(path) as data:
         assert sorted(data.files) == sorted(
-            ["colptr", "rowidx", "values", "C", "m", "n_nodes", "mode", "M", "fixed_n", "fingerprint"]
+            ["colptr", "rowidx", "values", "C", "m", "n_nodes", "fingerprint"]
         )
         assert str(data["fingerprint"][0]) == basis.nodes.fingerprint()
 
 
 def test_npz_in_the_earlier_layout_loads(tmp_path):
-    # earlier files also hold per_center_n, and M is always a number, also
-    # where fixed_n set the size and M had no effect
+    # earlier files also hold per_center_n and the footprint rule (mode, M,
+    # fixed_n), which loading ignores
     basis = local_basis(150)
     A = basis.A_sparse
     path = tmp_path / "old.npz"
-    old_M, old_fixed_n = 7.0 / np.log(10.0) ** 2, default_footprint(150)
+    old_M, old_fixed_n = 7.0 / np.log(10.0) ** 2, FootprintRule().stencil_count(150, 2)
     np.savez(
         path,
         colptr=A.indptr,
@@ -553,7 +547,6 @@ def test_npz_in_the_earlier_layout_loads(tmp_path):
     back = load_basis(path, basis.nodes, basis.spec)
     assert np.array_equal(back.A_sparse.toarray(), A.toarray())
     assert np.array_equal(back.C, basis.C)
-    assert back.footprint == FootprintRule(fixed_n=old_fixed_n)
 
 
 def test_npz_rejects_a_harmonic_block_of_the_wrong_shape(tmp_path):

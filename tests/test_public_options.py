@@ -36,7 +36,7 @@ OPTIONS = {
     "LocalBasis": ("min_pivot_ratio", "grown"),
     "MeshStats": (),
     "NodeFileError": (),
-    "NodeSet": ("stats", "n_normalized"),
+    "NodeSet": ("stats",),
     "NodeSet.fingerprint": (),
     "NonUnisolventError": (),
     "QuasiInterpolant": (),
@@ -46,13 +46,12 @@ OPTIONS = {
     "assemble_saddle": ("subset",),
     "ball": (),
     "build_index": (),
-    "build_local_basis": ("footprint", "grow_on_failure"),
+    "build_local_basis": ("footprint",),
     "cap_area": (),
     "cap_gram_analytic": (),
     "cap_gram_compare": (),
     "convergence_study": ("footprint",),
     "decay_study": ("center_idx",),
-    "default_footprint": ("m",),
     "ensure_stats": (),
     "eval_columns": (),
     "eval_kernel": (),
@@ -93,11 +92,14 @@ FLAGS = {
     "nodes": (),
     "nodes gen": ("--kind", "--level", "--freq", "--n", "--out"),
     "nodes stats": ("--probe", "--out"),
-    "build": ("--nodes", "--m", "--M", "--n", "--radius-K", "--grow-on-failure", "--out"),
+    "build": ("--nodes", "--m", "--M", "--n", "--radius-K", "--out"),
     "solve": ("--nodes", "--basis", "--m", "--data", "--tol", "--maxit", "--out", "--report"),
     "eval": ("--nodes", "--coeffs", "--m", "--at", "--out"),
     "gram": ("--r", "--nodes", "--cap-center", "--out"),
-    "study": ("--nodes", "--m", "--center-idx", "--kind", "--sizes", "--f", "--out"),
+    "study": (),
+    "study decay": ("--nodes", "--m", "--center-idx", "--out"),
+    "study convergence": ("--m", "--kind", "--sizes", "--f", "--out"),
+    "study table1": ("--m", "--kind", "--sizes", "--out"),
 }
 
 
