@@ -501,9 +501,8 @@ def test_study_rejects_an_icosahedral_size_below_12(capsys, size):
         ["study", "convergence", "--nodes", "n.txt"],
         ["study", "table1", "--f", "expz"],
         ["study", "decay", "--nodes", "n.txt", "--sizes", "400"],
-        ["study", "--sizes", "400"],
     ],
-    ids=["decay-no-nodes", "convergence-nodes", "table1-f", "decay-sizes", "no-command"],
+    ids=["decay-no-nodes", "convergence-nodes", "table1-f", "decay-sizes"],
 )
 def test_study_commands_take_only_their_own_flags(capsys, argv):
     assert main(argv) == 2
