@@ -56,8 +56,10 @@ from .locallag import (
     eval_local_function,
     interpolate_preconditioned,
     load_basis,
+    load_coeffs,
     quasi_interpolate,
     save_basis,
+    save_coeffs,
 )
 from .gramstudy import (
     CapGramReport,

@@ -44,7 +44,9 @@ from .locallag import (
     build_local_basis,
     interpolate_preconditioned,
     load_basis,
+    load_coeffs,
     save_basis,
+    save_coeffs,
 )
 from .neighbors import build_index
 from .solver import (
@@ -110,78 +112,11 @@ def _load_data(path, n, rng):
         return rng.uniform(-1.0, 1.0, size=n)
     data = np.loadtxt(path, comments="#", ndmin=1, dtype=np.float64)
     if data.shape != (n,):
-        raise ValueError(f"{path}: expected {n} values, found {data.shape[0]}")
+        raise ValueError(f"{path}: expected {n} values, one per line, found shape {data.shape}")
     finite = np.isfinite(data)
     if not finite.all():
         raise ValueError(f"{path}: value {int(np.argmin(finite)) + 1} is not finite")
     return data
-
-
-def _save_coeffs(path, a, c, config, spec, nodes):
-    rows = [("a", i, float(v)) for i, v in enumerate(a)]
-    rows += [("c", j, float(v)) for j, v in enumerate(c)]
-    meta = f"N={len(nodes)} m={spec.m} fingerprint={nodes.fingerprint()}"
-    write_csv(path, ["kind", "idx", "value"], rows, config, extra=[meta])
-
-
-def _load_coeffs(path, nodes, spec):
-    """Inverse of _save_coeffs; an N= m= line must precede the rows and match the nodes and --m.
-
-    A fingerprint on that line must match the nodes; files written before
-    fingerprints were stored are read without the check. Every a index
-    0..N-1 and c index 0..m^2-1 must appear exactly once, with a finite value.
-    A malformed line is an error naming path and its line number.
-    """
-    n = len(nodes)
-    coeffs = {"a": np.zeros(n), "c": np.zeros(spec.poly_dim)}
-    seen = {kind: np.zeros(target.size, dtype=bool) for kind, target in coeffs.items()}
-    has_meta = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line.startswith("# N="):
-                try:
-                    meta = dict(tok.split("=", 1) for tok in line[1:].split())
-                    file_n, file_m = int(meta["N"]), int(meta["m"])
-                except (ValueError, KeyError):
-                    raise ValueError(f"{path}: line {lineno}: expected # N=<int> m=<int>") from None
-                if file_n != n or file_m != spec.m:
-                    raise ValueError(
-                        f"{path}: coefficients are for N={file_n} m={file_m}, "
-                        f"not N={n} m={spec.m}"
-                    )
-                stored = meta.get("fingerprint")
-                if stored is not None and stored != nodes.fingerprint():
-                    raise ValueError(f"{path}: coefficients are for a different node set")
-                has_meta = True
-            if not line or line.startswith("#") or line.startswith("kind,"):
-                continue
-            if not has_meta:
-                raise ValueError(f"{path}: no '# N=<int> m=<int>' line before line {lineno}")
-            try:
-                kind, idx, value = line.split(",")
-                idx, value = int(idx), float(value)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected kind,idx,value") from None
-            if kind not in coeffs:
-                raise ValueError(f"{path}: unknown coefficient kind {kind!r}")
-            target = coeffs[kind]
-            if not 0 <= idx < target.size:
-                raise ValueError(f"{path}: {kind} index {idx} is outside 0..{target.size - 1}")
-            if seen[kind][idx]:
-                raise ValueError(f"{path}: {kind} index {idx} appears twice")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: {kind} index {idx} is not finite")
-            seen[kind][idx] = True
-            target[idx] = value
-    for kind, got in seen.items():
-        missing = np.flatnonzero(~got)
-        if missing.size:
-            raise ValueError(
-                f"{path}: {missing.size} {kind} coefficients are missing "
-                f"(first index {missing[0]})"
-            )
-    return coeffs["a"], coeffs["c"]
 
 
 def _footprint_from_args(args):
@@ -234,41 +169,30 @@ def cmd_solve(args, config):
     rng = np.random.default_rng(config.seed)
     data = _load_data(args.data, len(nodes), rng)
 
-    def report_rows(report):
-        return [(i, float(r)) for i, r in enumerate(report.residual_history)]
-
-    def report_extra(report):
-        return [
-            f"n_nodes={len(nodes)} m={spec.m} tol={args.tol!r} maxit={args.maxit}",
-            f"iterations={report.iterations} converged={report.converged}",
-            f"final_relres={report.final_relres!r}",
-            f"final_check={report.final_check!r}",
-        ]
-
+    failure = None
     try:
         a, c, report = interpolate_preconditioned(
             nodes, spec, basis, data, tol=args.tol, maxit=args.maxit
         )
     except GmresNotConvergedError as exc:
-        if args.report:
-            write_csv(
-                args.report,
-                ["iteration", "relres"],
-                report_rows(exc.report),
-                config,
-                extra=report_extra(exc.report),
-            )
-        raise
-    if args.out:
-        _save_coeffs(args.out, a, c, config, spec, nodes)
-    if args.report:
+        failure, report = exc, exc.report
+    if args.report:  # written for a run that did not converge too
         write_csv(
             args.report,
             ["iteration", "relres"],
-            report_rows(report),
+            [(i, float(r)) for i, r in enumerate(report.residual_history)],
             config,
-            extra=report_extra(report),
+            extra=[
+                f"n_nodes={len(nodes)} m={spec.m} tol={args.tol!r} maxit={args.maxit}",
+                f"iterations={report.iterations} converged={report.converged}",
+                f"final_relres={report.final_relres!r}",
+                f"final_check={report.final_check!r}",
+            ],
         )
+    if failure is not None:
+        raise failure
+    if args.out:
+        save_coeffs(args.out, nodes, spec, a, c)
     return 0
 
 
@@ -287,7 +211,7 @@ def _parse_grid(text):
 def cmd_eval(args, config):
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
-    a, c = _load_coeffs(args.coeffs, nodes, spec)
+    a, c = load_coeffs(args.coeffs, nodes, spec)
     grid = _parse_grid(args.at)
     if grid is not None:
         n_lat, n_lon = grid
@@ -380,13 +304,23 @@ _FIELDS = {
 }
 
 
+def _sizes(text):
+    """The --sizes list: comma-separated integers."""
+    try:
+        return [int(size) for size in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, such as 400,900,1600, got {text!r}"
+        ) from None
+
+
 def _study_sets(args):
     """The node set of each of --sizes; two sizes that give the same set are an error.
 
     An icosahedral size is rounded to the nearest member of the 10*4^level + 2 family.
     """
     sets, first = [], {}
-    for size in (int(s) for s in args.sizes.split(",")):
+    for size in args.sizes:
         if args.kind == "fibonacci":
             nodes = gen_fibonacci(size)
         elif size < 12:
@@ -403,8 +337,7 @@ def _study_sets(args):
 
 def cmd_study_convergence(args, config):
     spec = KernelSpec(args.m)
-    # the sets are made before the first solve, so the generator hands each one on
-    rows = convergence_study(lambda nodes: nodes, _study_sets(args), spec, _FIELDS[args.f])
+    rows = convergence_study(_study_sets(args), spec, _FIELDS[args.f])
     write_csv(
         args.out,
         ["n_nodes", "h", "err_interp", "err_quasi", "order_interp", "order_quasi"],
@@ -486,7 +419,7 @@ def build_parser():
     solve.add_argument("--data", default=None, help="value file; default seeded uniform [-1,1]")
     solve.add_argument("--tol", type=float, default=1e-6)
     solve.add_argument("--maxit", type=int, default=200)
-    solve.add_argument("--out", default=None, help="coefficient CSV")
+    solve.add_argument("--out", default=None, help="coefficient npz file")
     solve.add_argument("--report", default=None, help="iteration report CSV")
     solve.set_defaults(func=cmd_solve)
 
@@ -518,7 +451,7 @@ def build_parser():
     for ladder in (conv, table):
         ladder.add_argument("--m", type=int, default=2)
         ladder.add_argument("--kind", choices=["fibonacci", "icosahedral"], default="fibonacci")
-        ladder.add_argument("--sizes", default="400,900,1600")
+        ladder.add_argument("--sizes", type=_sizes, default="400,900,1600")
     conv.add_argument("--f", choices=sorted(_FIELDS), default="expz")
     for ladder, func in ((conv, cmd_study_convergence), (table, cmd_study_table1)):
         ladder.add_argument("--out", default=None)

@@ -177,19 +177,18 @@ class ConvergenceRow:
     order_quasi: float
 
 
-def convergence_study(generator, sizes, spec, f, footprint=None):
-    """Interpolation vs quasi-interpolation sup errors over a resolution ladder.
+def convergence_study(node_sets, spec, f, footprint=None):
+    """Interpolation vs quasi-interpolation sup errors over a ladder of NodeSets.
 
-    generator(N) must return a NodeSet; f maps (P, 3) points to values. Errors
-    are sup over the first CONVERGENCE_PROBES probe points; observed orders
-    between consecutive levels use the measured fill distances. footprint None
-    means FootprintRule(), the default count rule, at every level.
+    f maps (P, 3) points to values. Errors are sup over the first
+    CONVERGENCE_PROBES probe points; observed orders between consecutive
+    levels use the measured fill distances. footprint None means
+    FootprintRule(), the default count rule, at every level.
     """
     probes = probe_sequence(CONVERGENCE_PROBES)
     f_ref = np.asarray(f(probes), dtype=np.float64)
     rows = []
-    for n_nodes in sizes:
-        nodes = generator(n_nodes)
+    for nodes in node_sets:
         stats = ensure_stats(nodes)
         y = np.asarray(f(nodes.points), dtype=np.float64)
 

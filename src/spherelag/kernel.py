@@ -296,19 +296,19 @@ def assemble_saddle_stack(spec, points, phi, stencils):
 def evaluate_expansion(spec, centers, a, c, points):
     """Evaluate sum_j a_j k(x, centers_j) + sum_k c_k phi_k(x) at many points.
 
-    a is (N,) or (N, q) for q expansions sharing centers; c is (p,) or (p, q)
-    with p a square (fixes the harmonic degree). The kernel part is one tiled
-    kernel_sum, so the (P, N) kernel matrix is never materialized.
+    a is (N,) or (N, q) for q expansions sharing centers; c is (m^2,) or
+    (m^2, q), the harmonics of harmonic_basis_for(spec). The kernel part is
+    one tiled kernel_sum, so the (P, N) kernel matrix is never materialized.
     """
     c = np.asarray(c, dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
 
-    p = c.shape[0]
-    L = int(round(math.sqrt(p))) - 1
-    if (L + 1) ** 2 != p:
-        raise ValueError(f"polynomial coefficient count {p} is not a square")
+    if c.shape[0] != spec.poly_dim:
+        raise ValueError(
+            f"{c.shape[0]} harmonic coefficients given, order m={spec.m} takes {spec.poly_dim}"
+        )
     out = kernel_sum(spec, pts, centers, a)
-    out += HarmonicBasis(L).eval(pts) @ c
+    out += harmonic_basis_for(spec).eval(pts) @ c
     return out[0] if single else out

@@ -435,10 +435,63 @@ def interpolate_preconditioned(
     return a, c, report
 
 
-# ---- basis file round trip ---- #
+# ---- basis and coefficient files ---- #
 
-# The arrays of every basis file; files of the earliest layout have no fingerprint.
-_BASIS_KEYS = ("colptr", "rowidx", "values", "C", "m", "n_nodes")
+def _save_npz(path, nodes, spec, **arrays):
+    """Write arrays to path as an npz file, with the m, n_nodes and fingerprint they are for."""
+    # np.savez would append ".npz" to a name without it; a file object keeps the name
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            **arrays,
+            m=np.array([spec.m]),
+            n_nodes=np.array([len(nodes)]),
+            fingerprint=np.array([nodes.fingerprint()]),
+        )
+
+
+def _load_npz(path, kind, shapes, nodes, spec):
+    """{key: array} for each key of shapes, read from the npz file at path.
+
+    The one opener of saved files; kind ("basis", "coefficient") names the
+    file in errors. A file that is not an npz file holding the keys of shapes,
+    m and n_nodes fails with one ValueError naming path and any keys missing.
+    The file must be for len(nodes) nodes and order spec.m, and a stored
+    fingerprint must be that of nodes: files written before fingerprints were
+    stored load without that check. Each array must be numeric and finite,
+    with the shape shapes gives it unless that is None.
+    """
+    not_ours = f"{path} is not a spherelag npz {kind} file"
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, pickle, truncated or empty
+        raise ValueError(not_ours) from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{not_ours}: it holds a single array")
+    with data:
+        missing = [key for key in (*shapes, "m", "n_nodes") if key not in data.files]
+        if missing:
+            raise ValueError(f"{not_ours}: it lacks {', '.join(missing)}")
+        try:
+            file_n, file_m = int(data["n_nodes"][0]), int(data["m"][0])
+        except (IndexError, TypeError, ValueError):
+            raise ValueError(f"{not_ours}: n_nodes and m must each hold one integer") from None
+        n = len(nodes)
+        other = f"{path}: the {kind} file is for a different"
+        if file_n != n:
+            raise ValueError(f"{other} node count, N={file_n} not {n}")
+        if file_m != spec.m:
+            raise ValueError(f"{other} kernel order, m={file_m} not {spec.m}")
+        if "fingerprint" in data.files and str(data["fingerprint"][0]) != nodes.fingerprint():
+            raise ValueError(f"{other} node set (fingerprint mismatch)")
+        arrays = {key: data[key] for key in shapes}
+    for key, shape in shapes.items():
+        got = arrays[key]
+        if shape is not None and got.shape != shape:
+            raise ValueError(f"{path}: {key} has shape {got.shape}, expected {shape}")
+        if got.dtype.kind not in "iuf" or not np.isfinite(got).all():
+            raise ValueError(f"{path}: {key} holds values that are not finite numbers")
+    return arrays
 
 
 def save_basis(path, basis):
@@ -448,57 +501,32 @@ def save_basis(path, basis):
     the footprint rule: each centre's footprint size is np.diff(colptr).
     """
     A = basis.A_sparse
-    # np.savez would append ".npz" to a name without it; a file object keeps the name
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            colptr=A.indptr,
-            rowidx=A.indices,
-            values=A.data,
-            C=basis.C,
-            m=np.array([basis.spec.m]),
-            n_nodes=np.array([len(basis.nodes)]),
-            fingerprint=np.array([basis.nodes.fingerprint()]),
-        )
-
-
-def _open_basis(path):
-    """The open npz file at path; a ValueError naming path if it is not a basis file."""
-    not_basis = f"{path} is not a spherelag npz basis file"
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # text, pickle, truncated or empty
-        raise ValueError(not_basis) from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{not_basis}: it holds a single array")
-    missing = [key for key in _BASIS_KEYS if key not in data.files]
-    if missing:
-        data.close()
-        raise ValueError(f"{not_basis}: it lacks {', '.join(missing)}")
-    return data
+    _save_npz(
+        path, basis.nodes, basis.spec, colptr=A.indptr, rowidx=A.indices, values=A.data, C=basis.C
+    )
 
 
 def load_basis(path, nodes, spec):
-    """Inverse of save_basis; validates set size, kernel order and every index.
+    """Inverse of save_basis; validates set size, kernel order, values and every index.
 
-    A file that is not an npz file with the basis arrays fails with one
-    ValueError naming path. A file with a node-set fingerprint must match the
-    fingerprint of nodes; files written before fingerprints were stored load
-    without the check. Arrays of earlier layouts that nothing reads, such as
+    Errors are those of the shared opener, plus the row checks of
+    validated_csc. Arrays of earlier layouts that nothing reads, such as
     per_center_n and the footprint rule's mode, M and fixed_n, are ignored.
     """
     n = len(nodes)
-    with _open_basis(path) as data:
-        if int(data["n_nodes"][0]) != n:
-            raise ValueError("basis was saved for a different node count")
-        if int(data["m"][0]) != spec.m:
-            raise ValueError("basis was saved for a different kernel order")
-        if "fingerprint" in data.files and str(data["fingerprint"][0]) != nodes.fingerprint():
-            raise ValueError("basis was saved for a different node set (fingerprint mismatch)")
-        A = validated_csc((n, n), data["colptr"], data["rowidx"], data["values"])
-        C = np.array(data["C"])
-        if C.shape != (spec.poly_dim, n):
-            raise ValueError(
-                f"harmonic block has shape {C.shape}, expected (m^2, N) = {(spec.poly_dim, n)}"
-            )
-        return LocalBasis(nodes, spec, A, C)
+    shapes = {"colptr": None, "rowidx": None, "values": None, "C": (spec.poly_dim, n)}
+    arrays = _load_npz(path, "basis", shapes, nodes, spec)
+    A = validated_csc((n, n), arrays["colptr"], arrays["rowidx"], arrays["values"])
+    return LocalBasis(nodes, spec, A, arrays["C"])
+
+
+def save_coeffs(path, nodes, spec, a, c):
+    """Write the coefficients (a, c) of an expansion over nodes to path as an npz file."""
+    _save_npz(path, nodes, spec, a=a, c=c)
+
+
+def load_coeffs(path, nodes, spec):
+    """Inverse of save_coeffs: (a, c), checked as load_basis checks a basis file."""
+    shapes = {"a": (len(nodes),), "c": (spec.poly_dim,)}
+    arrays = _load_npz(path, "coefficient", shapes, nodes, spec)
+    return arrays["a"], arrays["c"]

@@ -187,8 +187,7 @@ def test_criterion_5_local_full_consistency():
 
 def test_criterion_6_approximation_orders():
     rows = convergence_study(
-        sl.gen_fibonacci,
-        (400, 1600, 6400),
+        [fib(n) for n in (400, 1600, 6400)],
         spec(2),
         lambda p: np.exp(p[:, 2]),
         footprint=FootprintRule(M=11.0),

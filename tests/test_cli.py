@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from spherelag import NodeSet, ensure_stats, gen_icosahedral, load_nodes, save_nodes
+from spherelag import (
+    KernelSpec,
+    NodeSet,
+    ensure_stats,
+    gen_icosahedral,
+    load_coeffs,
+    load_nodes,
+    save_nodes,
+)
 from spherelag import cli
 from spherelag.cli import main
 
@@ -89,7 +97,7 @@ def test_repeat_runs_differ_only_in_timestamp(node_file, tmp_path):
 
 
 def test_build_solve_eval_pipeline(node_file, basis_file, tmp_path):
-    coeffs = tmp_path / "coeffs.csv"
+    coeffs = tmp_path / "coeffs.npz"
     report = tmp_path / "report.csv"
     code = main(
         [
@@ -126,7 +134,7 @@ def test_build_solve_eval_pipeline(node_file, basis_file, tmp_path):
 
 
 def test_eval_grid_layout(node_file, basis_file, tmp_path):
-    coeffs = tmp_path / "coeffs.csv"
+    coeffs = tmp_path / "coeffs.npz"
     main(["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(coeffs)])
     grid = tmp_path / "grid.csv"
     code = main(
@@ -151,7 +159,7 @@ def test_eval_grid_layout(node_file, basis_file, tmp_path):
 
 
 def test_eval_rejects_malformed_grid(node_file, basis_file, tmp_path, capsys):
-    coeffs = tmp_path / "coeffs.csv"
+    coeffs = tmp_path / "coeffs.npz"
     main(["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(coeffs)])
     for grid in ("grid:20by40", "grid:0x5", "grid:-1x5", "grid:5x0"):
         argv = ["eval", "--nodes", str(node_file), "--coeffs", str(coeffs), "--at", grid]
@@ -162,7 +170,7 @@ def solved_coeffs(tmp_path, n, m):
     """(node file, coefficient file) from a gen, build and solve of n nodes at order m."""
     nodes = tmp_path / f"fib{n}.txt"
     basis = tmp_path / f"fib{n}_m{m}.npz"
-    coeffs = tmp_path / f"fib{n}_m{m}.csv"
+    coeffs = tmp_path / f"fib{n}_m{m}_coeffs.npz"
     assert main(["nodes", "gen", "--kind", "fibonacci", "--n", str(n), "--out", str(nodes)]) == 0
     assert main(["build", "--nodes", str(nodes), "--m", str(m), "--out", str(basis)]) == 0
     solve = ["solve", "--nodes", str(nodes), "--basis", str(basis), "--m", str(m)]
@@ -190,25 +198,6 @@ def test_eval_rejects_coefficients_of_another_order(tmp_path, capsys):
     assert_domain_error(argv, capsys, "m=3")
 
 
-def test_eval_rejects_out_of_range_coefficient_indices(tmp_path, capsys):
-    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
-    good = coeffs.read_text()
-    for record in ("a,200,1.0", "a,-1,1.0", "c,4,1.0", "c,-1,1.0"):
-        coeffs.write_text(good + record + "\n")
-        argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
-        assert_domain_error(argv, capsys, "outside")
-
-
-def test_eval_rejects_incomplete_coefficient_files(tmp_path, capsys):
-    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
-    lines = coeffs.read_text().splitlines(keepends=True)
-    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
-    coeffs.write_text("".join(lines[:-50]))  # 46 a rows and all 4 c rows gone
-    assert_domain_error(argv, capsys, "missing")
-    coeffs.write_text("".join(lines) + "a,7,1.0\n")
-    assert_domain_error(argv, capsys, "twice")
-
-
 def test_eval_rejects_coefficients_of_a_mirrored_node_set(tmp_path, capsys):
     nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
     mirrored = tmp_path / "mirrored.txt"
@@ -217,28 +206,58 @@ def test_eval_rejects_coefficients_of_a_mirrored_node_set(tmp_path, capsys):
     assert_domain_error(argv, capsys, "different node set")
 
 
-@pytest.mark.parametrize("edit", ["no-meta", "no-m", "short-row"])
-def test_eval_rejects_malformed_coefficient_files(tmp_path, capsys, edit):
+def rewrite_npz(path, **changes):
+    """Rewrite the npz file at path with some arrays replaced, and those set to None dropped."""
+    with np.load(path) as data:
+        fields = dict(data)
+    fields.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{key: value for key, value in fields.items() if value is not None})
+
+
+@pytest.mark.parametrize(
+    "kind, detail",
+    [
+        ("text", ""),  # such as a coefficient CSV of earlier versions
+        ("truncated", ""),
+        ("npy", ": it holds a single array"),
+        ("basis", ": it lacks a, c"),
+        ("no-binding", ": it lacks m, n_nodes"),
+        ("empty-binding", ": n_nodes and m must each hold one integer"),
+    ],
+    ids=["text", "truncated", "npy", "basis", "no-binding", "empty-binding"],
+)
+def test_eval_rejects_a_file_that_is_not_coefficients(tmp_path, capsys, kind, detail):
     nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
-    lines = coeffs.read_text().splitlines(keepends=True)
-    meta = next(i for i, ln in enumerate(lines) if ln.startswith("# N="))
-    row = next(i for i, ln in enumerate(lines) if ln.startswith("a,5,"))
-    if edit == "no-meta":
-        # without the line, nodes with x and y swapped would be taken as the set solved
-        # for; the first row is now the line after the header
-        del lines[meta]
-        swapped = tmp_path / "swapped.txt"
-        save_nodes(swapped, NodeSet(load_nodes(nodes).points[:, [1, 0, 2]]))
-        nodes, match = swapped, f"{coeffs}: no '# N=<int> m=<int>' line before line {meta + 2}"
-    elif edit == "no-m":
-        lines[meta] = "# N=200\n"
-        match = f"{coeffs}: line {meta + 1}: expected # N=<int> m=<int>"
+    if kind == "text":
+        coeffs.write_text("# N=200 m=2\nkind,idx,value\na,0,0.5\n")
+    elif kind == "truncated":
+        data = coeffs.read_bytes()
+        coeffs.write_bytes(data[: len(data) // 2])
+    elif kind == "npy":
+        with open(coeffs, "wb") as fh:
+            np.save(fh, np.zeros(204))
+    elif kind == "basis":
+        coeffs.write_bytes((tmp_path / "fib200_m2.npz").read_bytes())
+    elif kind == "no-binding":
+        rewrite_npz(coeffs, m=None, n_nodes=None)
     else:
-        lines[row] = "a,5\n"
-        match = f"{coeffs}: line {row + 1}: expected kind,idx,value"
-    coeffs.write_text("".join(lines))
+        rewrite_npz(coeffs, n_nodes=np.array([], dtype=np.int64))
     argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
-    assert_domain_error(argv, capsys, match)
+    assert_domain_error(argv, capsys, f"{coeffs} is not a spherelag npz coefficient file{detail}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, shape",
+    [("a", np.zeros(199), "(199,)"), ("a", np.zeros((200, 1)), "(200, 1)"), ("c", np.zeros(9), "(9,)")],
+    ids=["short-a", "column-a", "long-c"],
+)
+def test_eval_rejects_coefficients_of_the_wrong_length(tmp_path, capsys, key, value, shape):
+    nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
+    rewrite_npz(coeffs, **{key: value})
+    argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
+    expected = "(200,)" if key == "a" else "(4,)"
+    assert_domain_error(argv, capsys, f"{coeffs}: {key} has shape {shape}, expected {expected}")
 
 
 def test_eval_rejects_non_finite_points(tmp_path, capsys):
@@ -251,12 +270,14 @@ def test_eval_rejects_non_finite_points(tmp_path, capsys):
 
 def test_eval_rejects_non_finite_coefficients(tmp_path, capsys):
     nodes, coeffs = solved_coeffs(tmp_path, 200, 2)
-    lines = coeffs.read_text().splitlines(keepends=True)
-    at = next(i for i, ln in enumerate(lines) if ln.startswith("a,5,"))
-    lines[at] = "a,5,nan\n"
-    coeffs.write_text("".join(lines))
+    with np.load(coeffs) as data:
+        good = dict(data)
     argv = ["eval", "--nodes", str(nodes), "--coeffs", str(coeffs), "--at", str(nodes)]
-    assert_domain_error(argv, capsys, "a index 5 is not finite")
+    for key, at, value in (("a", 5, np.nan), ("c", 3, np.inf)):
+        bad = good[key].copy()
+        bad[at] = value
+        rewrite_npz(coeffs, **{**good, key: bad})
+        assert_domain_error(argv, capsys, f"{coeffs}: {key} holds values that are not finite numbers")
 
 
 def test_solve_rejects_non_finite_data(node_file, basis_file, tmp_path, capsys):
@@ -268,14 +289,20 @@ def test_solve_rejects_non_finite_data(node_file, basis_file, tmp_path, capsys):
     assert_domain_error(argv, capsys, "value 10 is not finite")
 
 
+def solved_arrays(node_file, coeffs):
+    """The (a, c) a solve of the fib(400) node file wrote to coeffs."""
+    return load_coeffs(coeffs, load_nodes(node_file), KernelSpec(2))
+
+
 def test_solve_seed_controls_the_data(node_file, basis_file, tmp_path):
-    out = tmp_path / "c.csv"
-    main(["--seed", "7", "solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(out)])
-    body7 = body_lines(out.read_text())
-    main(["--seed", "7", "solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(out)])
-    assert body_lines(out.read_text()) == body7
-    main(["--seed", "8", "solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(out)])
-    assert body_lines(out.read_text()) != body7
+    solve = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out"]
+    first, again, other = tmp_path / "7.npz", tmp_path / "7again.npz", tmp_path / "8.npz"
+    for seed, out in (("7", first), ("7", again), ("8", other)):
+        assert main(["--seed", seed, *solve, str(out)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    a7, c7 = solved_arrays(node_file, first)
+    a8, c8 = solved_arrays(node_file, other)
+    assert not np.array_equal(a8, a7) and not np.array_equal(c8, c7)
 
 
 def test_solve_accepts_a_data_file(node_file, basis_file, tmp_path):
@@ -296,11 +323,11 @@ def test_solve_accepts_a_data_file(node_file, basis_file, tmp_path):
 
 
 def test_solve_rejects_wrong_length_data(node_file, basis_file, tmp_path, capsys):
-    data = tmp_path / "short.txt"
-    np.savetxt(data, np.ones(17))
-    code = main(["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--data", str(data)])
-    assert code == 1
-    assert "expected 400 values" in capsys.readouterr().err
+    data = tmp_path / "data.txt"
+    argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--data", str(data)]
+    for values, shape in ((np.ones(17), "(17,)"), (np.ones((400, 2)), "(400, 2)")):
+        np.savetxt(data, values)
+        assert_domain_error(argv, capsys, f"expected 400 values, one per line, found shape {shape}")
 
 
 def test_solve_nonconvergence_still_reports(node_file, basis_file, tmp_path, capsys):
@@ -335,10 +362,11 @@ def test_solve_rejects_a_tol_that_is_not_finite_and_positive(node_file, basis_fi
 def test_solve_maxit_beyond_n_matches_the_default(node_file, basis_file, tmp_path):
     # Krylov storage follows the iterations taken, so a huge maxit costs nothing
     solve = ["solve", "--nodes", str(node_file), "--basis", str(basis_file)]
-    default, huge = tmp_path / "default.csv", tmp_path / "huge.csv"
+    default, huge = tmp_path / "default.npz", tmp_path / "huge.npz"
     assert main(solve + ["--out", str(default)]) == 0
     assert main(solve + ["--maxit", str(10**9), "--out", str(huge)]) == 0
-    assert body_lines(huge.read_text()) == body_lines(default.read_text())
+    for got, want in zip(solved_arrays(node_file, huge), solved_arrays(node_file, default)):
+        assert np.array_equal(got, want)
 
 
 def test_solve_default_maxit_on_fewer_nodes_than_maxit(tmp_path):
@@ -530,6 +558,14 @@ def test_study_rejects_sizes_that_give_one_node_set(
     argv = ["study", command, "--kind", kind, "--sizes", sizes]
     match = f"sizes {first} and {second} both give the {n_nodes}-node set"
     assert_domain_error(argv, capsys, match)
+
+
+@pytest.mark.parametrize("command", ["convergence", "table1"])
+@pytest.mark.parametrize("sizes", ["400,abc", "", "100,,200"])
+def test_study_rejects_sizes_that_are_not_integers(capsys, command, sizes):
+    assert main(["study", command, "--sizes", sizes]) == 2
+    expected = f"expected comma-separated integers, such as 400,900,1600, got {sizes!r}"
+    assert f"argument --sizes: {expected}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

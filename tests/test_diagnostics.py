@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import spherelag as sl
 from spherelag import diagnostics
 from spherelag.diagnostics import (
     InsufficientSamplesError,
@@ -118,7 +117,7 @@ def few_probes(monkeypatch):
 
 
 def test_convergence_interpolation_errors_shrink(few_probes):
-    rows = convergence_study(sl.gen_fibonacci, (100, 200, 400), spec(2), lambda p: np.exp(p[:, 2]))
+    rows = convergence_study([fib(n) for n in (100, 200, 400)], spec(2), lambda p: np.exp(p[:, 2]))
     errs = [r.err_interp for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert math.isnan(rows[0].order_interp)
@@ -129,8 +128,7 @@ def test_convergence_interpolation_errors_shrink(few_probes):
 
 def test_convergence_quasi_tracks_interpolation_with_wide_footprints(few_probes):
     rows = convergence_study(
-        sl.gen_fibonacci,
-        (200, 400),
+        [fib(200), fib(400)],
         spec(2),
         lambda p: np.exp(p[:, 2]),
         footprint=FootprintRule(M=11.0),
@@ -140,6 +138,6 @@ def test_convergence_quasi_tracks_interpolation_with_wide_footprints(few_probes)
 
 
 def test_convergence_reproduces_low_degree_harmonics(few_probes):
-    rows = convergence_study(sl.gen_fibonacci, (100, 200), spec(2), lambda p: p[:, 2])
+    rows = convergence_study([fib(100), fib(200)], spec(2), lambda p: p[:, 2])
     for row in rows:
         assert row.err_interp < 1e-8

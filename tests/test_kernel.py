@@ -367,5 +367,7 @@ def test_evaluate_expansion_single_point_and_bad_poly_count():
     centers = fib(10).points
     out = evaluate_expansion(spec(2), centers, np.ones(10), np.zeros(4), centers[0])
     assert np.ndim(out) == 0 or out.shape == ()
-    with pytest.raises(ValueError):
-        evaluate_expansion(spec(2), centers, np.ones(10), np.zeros(5), centers[:3])
+    for count in (5, 9):  # 9: the harmonics through degree 2, those of m = 3
+        match = f"{count} harmonic coefficients given, order m=2 takes 4"
+        with pytest.raises(ValueError, match=match):
+            evaluate_expansion(spec(2), centers, np.ones(10), np.zeros(count), centers[:3])

@@ -587,6 +587,21 @@ def test_npz_rejects_bad_rows(tmp_path, edit, match):
         load_basis(path, basis.nodes, basis.spec)
 
 
+@pytest.mark.parametrize(
+    "key, at, value", [("values", 5, np.nan), ("C", (0, 3), np.inf)], ids=["values", "C"]
+)
+def test_load_basis_rejects_non_finite_values(tmp_path, key, at, value):
+    basis = local_basis(300)
+    path = tmp_path / "basis.npz"
+    save_basis(path, basis)
+    with np.load(path) as data:
+        fields = dict(data)
+    fields[key][at] = value
+    np.savez(path, **fields)
+    with pytest.raises(ValueError, match=f"{path}: {key} holds values that are not finite numbers"):
+        load_basis(path, basis.nodes, basis.spec)
+
+
 def test_load_basis_rejects_another_node_set_of_the_same_size(tmp_path):
     basis = local_basis(200)
     path = tmp_path / "basis.npz"

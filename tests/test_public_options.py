@@ -73,12 +73,14 @@ OPTIONS = {
     "knn": (),
     "knn_all": (),
     "load_basis": (),
+    "load_coeffs": (),
     "load_nodes": (),
     "mesh_stats": ("probe_n",),
     "min_eig_ratio": (),
     "probe_sequence": (),
     "quasi_interpolate": (),
     "save_basis": (),
+    "save_coeffs": (),
     "save_nodes": (),
     "sphere_point": (),
     "spmv": (),
