@@ -217,14 +217,10 @@ def gen_icosahedral_freq(nu):
                 seen.add(key)
                 edges.append(key)
 
-    edge_pts = {}
     for i, j in edges:
-        idx = []
         for k in range(1, nu):
             v = base[i] + (base[j] - base[i]) * (k / nu)
             verts.append(v / np.linalg.norm(v))
-            idx.append(len(verts) - 1)
-        edge_pts[(i, j)] = idx
 
     for a, b, c in _ICO_FACES:
         for i in range(1, nu):

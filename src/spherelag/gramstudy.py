@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import cap_area, cap_points, geodesic_distance, sphere_point
+from .geom import _chord_to_geodesic, cap_area, cap_points, geodesic_distance, sphere_point
 from .kernel import HarmonicBasis
 from .lagrange import gram_discrete
 from .solver import NonUnisolventError, sym_eig_minmax
@@ -101,7 +101,7 @@ def cap_gram_compare(points, center, r):
 
     probes = cap_points(center, r, CAP_PROBES)
     dist, _ = cKDTree(pts).query(probes, k=1)
-    h_cap = float(2.0 * np.arcsin(np.clip(dist.max() / 2.0, 0.0, 1.0)))
+    h_cap = float(_chord_to_geodesic(dist.max()))
     h_ratio = h_cap / r
 
     return CapGramReport(

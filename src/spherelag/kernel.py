@@ -31,16 +31,10 @@ class KernelSpec:
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"kernel order must be an integer >= 2, got {self.m}")
         object.__setattr__(self, "poly_dim", self.m * self.m)
-        object.__setattr__(self, "sup_norm", _kernel_sup_norm(self.m))
-
-
-def _kernel_sup_norm(m):
-    # max of |s^(m-1) log s| over s = 1 - t in (0, 2]. The endpoint s = 2
-    # dominates the interior extremum 1/(e (m-1)) for every m >= 2; the scan
-    # guards the claim rather than trusting it.
-    s = np.linspace(1e-8, 2.0, 200_001)
-    interior = float(np.abs(s ** (m - 1) * np.log(s)).max())
-    return max(interior, 2.0 ** (m - 1) * math.log(2.0))
+        # max of |s^(m-1) log s| over s = 1 - x.a in (0, 2]: on (0, 1) it is at
+        # most 1/(e (m-1)) < 1/e, and on [1, 2] it increases to the endpoint
+        # value 2^(m-1) log 2 >= 2 log 2
+        object.__setattr__(self, "sup_norm", 2.0 ** (self.m - 1) * math.log(2.0))
 
 
 def _kernel_inplace(spec, t):

@@ -320,6 +320,8 @@ def _on_workers(task, items, workers):
 def eval_local_function(basis, center_idx, points):
     """Values of the local Lagrange function chi_xi at arbitrary points."""
     A = basis.A_sparse
+    if not 0 <= center_idx < A.shape[1]:
+        raise ValueError(f"center_idx {center_idx} is outside 0..{A.shape[1] - 1}")
     col = slice(A.indptr[center_idx], A.indptr[center_idx + 1])
     return evaluate_expansion(
         basis.spec, basis.nodes.points[A.indices[col]], A.data[col], basis.C[:, center_idx], points
@@ -417,6 +419,8 @@ def interpolate_preconditioned(
     the relative sup-norm residual of the recovered interpolant as final_check.
     """
     f = _checked_data(f_values, len(nodes))
+    if spec != basis.spec:
+        raise ValueError(f"spec has order m={spec.m}, but the basis was built for m={basis.spec.m}")
     if basis.nodes is not nodes and not np.array_equal(basis.nodes.points, nodes.points):
         raise ValueError("basis was built for a different node set")
 

@@ -221,18 +221,6 @@ class GmresReport:
     final_check: float | None = None
 
 
-# Iterations gmres allocates room for at first; a solve preconditioned with
-# the local basis takes 5-8.
-_GMRES_BLOCK = 16
-
-
-def _grown(a, shape):
-    """a copied into the leading corner of a zero array of the larger shape."""
-    out = np.zeros(shape)
-    out[tuple(slice(0, k) for k in a.shape)] = a
-    return out
-
-
 def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     """Full (non-restarted) GMRES with modified Gram-Schmidt and Givens rotations.
 
@@ -242,9 +230,9 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     ||rhs - A x||_2 / ||rhs||_2 <= tol; an exact Krylov breakdown counts as
     convergence; tol must be finite and positive. Raises
     GmresNotConvergedError (carrying the best iterate) when maxit is
-    exhausted. The Krylov basis and the Hessenberg matrix start with room for
-    _GMRES_BLOCK iterations and double when full, so memory follows the
-    iterations taken, not maxit.
+    exhausted. The Krylov vectors and the Hessenberg columns are kept in lists
+    that grow by one entry per iteration, so memory follows the iterations
+    taken, not maxit.
     """
     maxit = int(maxit)
     if maxit < 1:
@@ -265,48 +253,36 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     if history[0] <= tol:
         return x0.copy(), GmresReport(0, True, history[0], history)
 
-    cap = min(maxit, _GMRES_BLOCK)
-    Q = np.empty((cap + 1, n))
-    Q[0] = r0 / beta
-    H = np.zeros((cap + 1, cap))
-    cs = np.zeros(cap)
-    sn = np.zeros(cap)
-    g = np.zeros(cap + 1)
-    g[0] = beta
+    Q = [r0 / beta]
+    R = []  # column j of the rotated Hessenberg matrix, trimmed to length j + 1
+    cs, sn, g = [], [], [beta]
 
     converged = False
     k = 0
     for j in range(maxit):
-        if j == cap:
-            cap = min(2 * cap, maxit)
-            Q, H, cs, sn, g = (
-                _grown(Q, (cap + 1, n)),
-                _grown(H, (cap + 1, cap)),
-                _grown(cs, (cap,)),
-                _grown(sn, (cap,)),
-                _grown(g, (cap + 1,)),
-            )
         # copy: the operator may hand back its argument (e.g. the identity),
         # and orthogonalization must not write through into Q
         w = np.array(apply_a(Q[j]), dtype=np.float64)
+        h = np.zeros(j + 2)
         for i in range(j + 1):
-            H[i, j] = Q[i] @ w
-            w -= H[i, j] * Q[i]
-        H[j + 1, j] = np.linalg.norm(w)
-        col_scale = max(1.0, float(np.abs(H[: j + 2, j]).max()))
-        breakdown = H[j + 1, j] <= 1e-14 * col_scale
+            h[i] = Q[i] @ w
+            w -= h[i] * Q[i]
+        h[j + 1] = np.linalg.norm(w)
+        col_scale = max(1.0, float(np.abs(h).max()))
+        breakdown = h[j + 1] <= 1e-14 * col_scale
         if not breakdown:
-            Q[j + 1] = w / H[j + 1, j]
+            Q.append(w / h[j + 1])
 
         for i in range(j):  # apply accumulated rotations to the new column
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        rad = np.hypot(H[j, j], H[j + 1, j])
-        cs[j], sn[j] = (1.0, 0.0) if rad == 0.0 else (H[j, j] / rad, H[j + 1, j] / rad)
-        H[j, j] = rad
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+            hi, hj = h[i], h[i + 1]
+            h[i] = cs[i] * hi + sn[i] * hj
+            h[i + 1] = -sn[i] * hi + cs[i] * hj
+        rad = np.hypot(h[j], h[j + 1])
+        cs.append(1.0 if rad == 0.0 else h[j] / rad)
+        sn.append(0.0 if rad == 0.0 else h[j + 1] / rad)
+        h[j] = rad
+        R.append(h[: j + 1])
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
 
         k = j + 1
@@ -315,8 +291,11 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
             converged = True
             break
 
-    y = scipy.linalg.solve_triangular(H[:k, :k], g[:k], check_finite=False)
-    x = x0 + Q[:k].T @ y
+    H = np.zeros((k, k))
+    for j, col in enumerate(R):
+        H[: j + 1, j] = col
+    y = scipy.linalg.solve_triangular(H, np.array(g[:k]), check_finite=False)
+    x = x0 + np.array(Q[:k]).T @ y
     report = GmresReport(k, converged, history[-1], history)
     if not converged:
         raise GmresNotConvergedError(x, report)

@@ -140,6 +140,13 @@ def test_eval_local_function_matches_manual_expansion():
     assert np.allclose(eval_local_function(basis, i, pts), manual, atol=1e-12)
 
 
+def test_eval_local_function_rejects_centre_out_of_range():
+    basis = local_basis(300)
+    for bad in (-1, 300):
+        with pytest.raises(ValueError, match=f"center_idx {bad} is outside 0..299"):
+            eval_local_function(basis, bad, probes(5))
+
+
 def ring_nodes(n, z):
     angles = 2.0 * np.pi * np.arange(n) / n
     s = np.sqrt(1.0 - z * z)
@@ -472,9 +479,13 @@ def test_preconditioned_solve_matches_direct():
     assert phi.shape == (400, 4)  # sanity on the probe evaluation itself
 
 
-def test_preconditioned_solve_validation():
+def test_preconditioned_solve_validation(monkeypatch):
     ns = fib(200)
     basis = local_basis(200)
+    with monkeypatch.context() as mp:  # the order is checked before any kernel work
+        mp.setattr(locallag, "KernelMatvec", None)
+        with pytest.raises(ValueError, match="order m=3, but the basis was built for m=2"):
+            interpolate_preconditioned(ns, spec(3), basis, np.zeros(200))
     with pytest.raises(ValueError, match="length"):
         interpolate_preconditioned(ns, spec(2), basis, np.zeros(7))
     with pytest.raises(ValueError, match="node set"):
