@@ -40,12 +40,6 @@ from .solver import (
     sym_eig_minmax,
     validated_csc,
 )
-from .lagrange import (
-    LagrangeBasis,
-    eval_columns,
-    full_lagrange,
-    gram_discrete,
-)
 from .locallag import (
     FootprintRule,
     KernelMatvec,

@@ -14,12 +14,13 @@ import datetime
 import math
 import shlex
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    ConvergenceRow,
     InsufficientSamplesError,
     convergence_study,
     decay_study,
@@ -290,6 +291,7 @@ def cmd_study_decay(args, config):
         f"window={study.fit_coefficient.window}",
         f"plateau_fraction_function={study.plateau_fraction_function!r}",
         f"plateau_fraction_coefficient={study.plateau_fraction_coefficient!r}",
+        f"iterations={study.iterations} final_check={study.final_check!r}",
     ]
     rows = [("function", float(t), float(v)) for t, v in study.function_samples]
     rows += [("coefficient", float(t), float(v)) for t, v in study.coefficient_samples]
@@ -340,11 +342,8 @@ def cmd_study_convergence(args, config):
     rows = convergence_study(_study_sets(args), spec, _FIELDS[args.f])
     write_csv(
         args.out,
-        ["n_nodes", "h", "err_interp", "err_quasi", "order_interp", "order_quasi"],
-        [
-            (r.n_nodes, r.h, r.err_interp, r.err_quasi, r.order_interp, r.order_quasi)
-            for r in rows
-        ],
+        [field.name for field in fields(ConvergenceRow)],
+        [astuple(r) for r in rows],
         config,
         extra=[f"kind={args.kind} f={args.f} m={spec.m}"],
     )
@@ -365,11 +364,13 @@ def cmd_study_table1(args, config):
                 study.fit_function.C,
                 study.fit_coefficient.nu,
                 study.fit_coefficient.C,
+                study.iterations,
+                study.final_check,
             )
         )
     write_csv(
         args.out,
-        ["n_nodes", "h", "rho", "nu_L", "C_L", "nu_c", "C_c"],
+        ["n_nodes", "h", "rho", "nu_L", "C_L", "nu_c", "C_c", "iterations", "final_check"],
         rows,
         config,
         extra=[f"kind={args.kind} m={spec.m}"],

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import NodeSet, ensure_stats, geodesic_distance, probe_sequence, tangent_frame
-from .kernel import KernelSpec, assemble_saddle, evaluate_expansion
-from .locallag import build_local_basis, quasi_interpolate
-from .solver import factor_solve
+from .geom import ensure_stats, geodesic_distance, probe_sequence, tangent_frame
+from .kernel import evaluate_expansion
+from .locallag import (
+    _checked_centre,
+    build_local_basis,
+    interpolate_preconditioned,
+    quasi_interpolate,
+)
+from .solver import GmresNotConvergedError
 
 PLATEAU_FLOOR = 1e-10
 FIT_T_MIN = 2.0
@@ -28,6 +33,10 @@ DECAY_GRID_LAT = 200
 
 # Probe points convergence_study measures its sup errors at.
 CONVERGENCE_PROBES = 20_000
+
+# GMRES tol of the studies' preconditioned solves: tight enough that the
+# printed decay rates and orders match those of a dense solve (docs/decisions.md).
+STUDY_TOL = 1e-12
 
 
 class InsufficientSamplesError(ValueError):
@@ -109,29 +118,41 @@ class DecayStudy:
     fit_coefficient: DecayFit
     plateau_fraction_function: float
     plateau_fraction_coefficient: float
+    iterations: int
+    final_check: float
+
+
+def _study_solve(nodes, spec, basis, data):
+    """interpolate_preconditioned at STUDY_TOL; a solve that fails names N and m."""
+    try:
+        return interpolate_preconditioned(nodes, spec, basis, data, tol=STUDY_TOL)
+    except GmresNotConvergedError as exc:
+        exc.args = (f"study solve at N = {len(nodes)}, m = {spec.m}: {exc}",)
+        raise
 
 
 def decay_study(nodes, spec, center_idx=None):
     """Compute one full Lagrange column and fit both decay laws.
 
-    Function samples take the max of |chi| over each colatitude band of a
-    lon-lat grid in a frame whose pole is the center node; coefficient samples
-    are (d(center, zeta)/h, |A[zeta, center]|) over all nodes. The default
-    center is the node nearest the north pole; a given one must lie in 0..N-1.
+    The column is the interpolant of the cardinal data e_center, solved with
+    the default local basis as preconditioner at STUDY_TOL. Function samples
+    take the max of |chi| over each colatitude band of a lon-lat grid in a
+    frame whose pole is the center node; coefficient samples are
+    (d(center, zeta)/h, |A[zeta, center]|) over all nodes. The default center
+    is the node nearest the north pole; a given one must be an integer in
+    0..N-1.
     """
     pts = nodes.points
     n = pts.shape[0]
     if center_idx is None:
         center_idx = int(np.argmax(pts[:, 2]))
-    elif not 0 <= center_idx < n:
-        raise ValueError(f"center_idx {center_idx} is outside 0..{n - 1}")
+    center_idx = _checked_centre(center_idx, n)
     stats = ensure_stats(nodes)
     center = pts[center_idx]
 
-    system = assemble_saddle(spec, nodes)
-    rhs = np.zeros(n + spec.poly_dim)
+    rhs = np.zeros(n)
     rhs[center_idx] = 1.0
-    a, c = factor_solve(system, rhs)
+    a, c, report = _study_solve(nodes, spec, build_local_basis(nodes, spec), rhs)
 
     e1, e2 = tangent_frame(center)
     theta2 = np.linspace(0.0, math.pi, DECAY_GRID_LAT)
@@ -153,7 +174,7 @@ def decay_study(nodes, spec, center_idx=None):
     fit_fn = fit_decay(function_samples, "function", m=spec.m)
     fit_cf = fit_decay(coefficient_samples, "coefficient", q=stats.q, m=spec.m)
     return DecayStudy(
-        center_idx=int(center_idx),
+        center_idx=center_idx,
         h=stats.h,
         q=stats.q,
         function_samples=function_samples,
@@ -162,6 +183,8 @@ def decay_study(nodes, spec, center_idx=None):
         fit_coefficient=fit_cf,
         plateau_fraction_function=float((band_max < PLATEAU_FLOOR).mean()),
         plateau_fraction_coefficient=float((np.abs(a) < PLATEAU_FLOOR).mean()),
+        iterations=report.iterations,
+        final_check=report.final_check,
     )
 
 
@@ -175,15 +198,19 @@ class ConvergenceRow:
     err_quasi: float
     order_interp: float
     order_quasi: float
+    iterations: int
+    final_check: float
 
 
 def convergence_study(node_sets, spec, f, footprint=None):
     """Interpolation vs quasi-interpolation sup errors over a ladder of NodeSets.
 
-    f maps (P, 3) points to values. Errors are sup over the first
-    CONVERGENCE_PROBES probe points; observed orders between consecutive
-    levels use the measured fill distances. footprint None means
-    FootprintRule(), the default count rule, at every level.
+    f maps (P, 3) points to values. One local basis per level, built with
+    footprint, gives the quasi-interpolant and preconditions the interpolation
+    solve at STUDY_TOL. Errors are sup over the first CONVERGENCE_PROBES probe
+    points; observed orders between consecutive levels use the measured fill
+    distances. footprint None means FootprintRule(), the default count rule,
+    at every level.
     """
     probes = probe_sequence(CONVERGENCE_PROBES)
     f_ref = np.asarray(f(probes), dtype=np.float64)
@@ -191,13 +218,10 @@ def convergence_study(node_sets, spec, f, footprint=None):
     for nodes in node_sets:
         stats = ensure_stats(nodes)
         y = np.asarray(f(nodes.points), dtype=np.float64)
-
-        system = assemble_saddle(spec, nodes)
-        rhs = np.concatenate([y, np.zeros(spec.poly_dim)])
-        a, c = factor_solve(system, rhs)
-        err_i = float(np.abs(evaluate_expansion(spec, nodes.points, a, c, probes) - f_ref).max())
-
         basis = build_local_basis(nodes, spec, footprint)
+
+        a, c, report = _study_solve(nodes, spec, basis, y)
+        err_i = float(np.abs(evaluate_expansion(spec, nodes.points, a, c, probes) - f_ref).max())
         err_q = float(np.abs(quasi_interpolate(basis, y)(probes) - f_ref).max())
 
         rows.append(
@@ -208,6 +232,8 @@ def convergence_study(node_sets, spec, f, footprint=None):
                 err_quasi=err_q,
                 order_interp=math.nan,
                 order_quasi=math.nan,
+                iterations=report.iterations,
+                final_check=report.final_check,
             )
         )
 

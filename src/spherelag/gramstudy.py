@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 
 from .geom import _chord_to_geodesic, cap_area, cap_points, geodesic_distance, sphere_point
 from .kernel import HarmonicBasis
-from .lagrange import gram_discrete
 from .solver import NonUnisolventError, sym_eig_minmax
 
 # Ordering of the 4 basis functions in the analytic Gram.
@@ -87,7 +86,8 @@ def cap_gram_compare(points, center, r):
             f"{int((d > r + 1e-12).sum())} points lie outside the cap of radius {r}"
         )
 
-    G = gram_discrete(pts, HarmonicBasis(1))
+    phi = HarmonicBasis(1).eval(pts)
+    G = phi.T @ phi
     lam_min, _ = sym_eig_minmax(G)
     if lam_min <= 1e-13:
         raise NonUnisolventError(

@@ -317,11 +317,19 @@ def _on_workers(task, items, workers):
         raise errors[0]
 
 
+def _checked_centre(center_idx, n):
+    """center_idx as an int; it must be an integer in 0..n-1, and not a bool."""
+    if isinstance(center_idx, bool) or not isinstance(center_idx, (int, np.integer)):
+        raise ValueError(f"center_idx {center_idx} is not an integer in 0..{n - 1}")
+    if not 0 <= center_idx < n:
+        raise ValueError(f"center_idx {center_idx} is outside 0..{n - 1}")
+    return int(center_idx)
+
+
 def eval_local_function(basis, center_idx, points):
     """Values of the local Lagrange function chi_xi at arbitrary points."""
     A = basis.A_sparse
-    if not 0 <= center_idx < A.shape[1]:
-        raise ValueError(f"center_idx {center_idx} is outside 0..{A.shape[1] - 1}")
+    center_idx = _checked_centre(center_idx, A.shape[1])
     col = slice(A.indptr[center_idx], A.indptr[center_idx + 1])
     return evaluate_expansion(
         basis.spec, basis.nodes.points[A.indices[col]], A.data[col], basis.C[:, center_idx], points

@@ -17,7 +17,6 @@ from spherelag.diagnostics import convergence_study, decay_study
 from spherelag.geom import cap_points
 from spherelag.gramstudy import cap_gram_compare, min_eig_ratio
 from spherelag.kernel import assemble_saddle, harmonic_basis_for, kernel_matrix
-from spherelag.lagrange import eval_columns
 from spherelag.locallag import (
     FootprintRule,
     build_local_basis,
@@ -27,7 +26,7 @@ from spherelag.locallag import (
 from spherelag.neighbors import ball, build_index, knn
 from spherelag.solver import factor_solve, gmres
 
-from helpers import fib, full_basis, probes, rng, spec
+from helpers import eval_columns, fib, full_basis, probes, rng, spec
 
 
 def report_line(criterion, ok, detail):

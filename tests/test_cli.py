@@ -476,6 +476,7 @@ def test_study_decay(node_file, tmp_path):
     assert main(["study", "decay", "--nodes", str(node_file), "--out", str(out)]) == 0
     text = out.read_text()
     assert "nu_function=" in text
+    assert "# iterations=" in text and " final_check=" in text
     kinds = {ln.split(",")[0] for ln in body_lines(text)[1:]}
     assert kinds == {"function", "coefficient"}
 
@@ -491,16 +492,25 @@ def test_study_convergence(tmp_path):
     code = main(["study", "convergence", "--sizes", "100,200", "--f", "linear", "--out", str(out)])
     assert code == 0
     rows = body_lines(out.read_text())
-    assert rows[0] == "n_nodes,h,err_interp,err_quasi,order_interp,order_quasi"
+    assert rows[0] == (
+        "n_nodes,h,err_interp,err_quasi,order_interp,order_quasi,iterations,final_check"
+    )
     assert len(rows) == 3
     assert float(rows[1].split(",")[2]) < 1e-8  # degree-1 field is reproduced
+    assert float(rows[1].split(",")[7]) < 1e-9
+
+
+def test_study_convergence_names_the_size_whose_solve_fails(capsys):
+    # the default footprint does not precondition m = 4, so GMRES stalls
+    argv = ["study", "convergence", "--m", "4", "--kind", "icosahedral", "--sizes", "642"]
+    assert_domain_error(argv, capsys, "study solve at N = 642, m = 4: no convergence")
 
 
 def test_study_table_summary(node_file, tmp_path):
     out = tmp_path / "summary.csv"
     assert main(["study", "table1", "--sizes", "400", "--out", str(out)]) == 0
     rows = body_lines(out.read_text())
-    assert rows[0] == "n_nodes,h,rho,nu_L,C_L,nu_c,C_c"
+    assert rows[0] == "n_nodes,h,rho,nu_L,C_L,nu_c,C_c,iterations,final_check"
     fields = rows[1].split(",")
     assert fields[0] == "400"
     assert float(fields[3]) > 0.5 and float(fields[5]) > 0.5

@@ -14,7 +14,7 @@ from spherelag.diagnostics import (
 )
 from spherelag.locallag import FootprintRule
 
-from helpers import fib, spec
+from helpers import fib, spec, traced_peak
 
 
 def exp_samples(nu, C, t_max=12.0, n=200):
@@ -105,9 +105,10 @@ def test_decay_study_respects_center_choice():
     assert study.coefficient_samples.shape == (400, 2)
 
 
-@pytest.mark.parametrize("center_idx", [-1, 400, 99_999])
+@pytest.mark.parametrize("center_idx", [-1, 400, 99_999, 1.5, np.float64(2.0), True])
 def test_decay_study_rejects_a_center_outside_the_set(center_idx):
-    with pytest.raises(ValueError, match=f"center_idx {center_idx} is outside 0..399"):
+    reason = "is outside" if type(center_idx) is int else "is not an integer in"
+    with pytest.raises(ValueError, match=f"center_idx {center_idx} {reason} 0..399"):
         decay_study(fib(400), spec(2), center_idx=center_idx)
 
 
@@ -124,6 +125,9 @@ def test_convergence_interpolation_errors_shrink(few_probes):
     assert rows[2].order_interp > 2.0
     assert rows[0].h > rows[1].h > rows[2].h
     assert [r.n_nodes for r in rows] == [100, 200, 400]
+    for row in rows:
+        assert 1 <= row.iterations <= 200
+        assert row.final_check < 1e-9
 
 
 def test_convergence_quasi_tracks_interpolation_with_wide_footprints(few_probes):
@@ -141,3 +145,11 @@ def test_convergence_reproduces_low_degree_harmonics(few_probes):
     rows = convergence_study([fib(100), fib(200)], spec(2), lambda p: p[:, 2])
     for row in rows:
         assert row.err_interp < 1e-8
+
+
+def test_convergence_memory_is_at_most_one_kernel_matrix(few_probes):
+    # the largest array of the preconditioned solve is the cached operator,
+    # about 0.55 x 8 N^2 bytes; a dense bordered system would be 2 x 8 (N + 4)^2
+    nodes = fib(3000)
+    run = lambda: convergence_study([nodes], spec(2), lambda p: np.exp(p[:, 2]))
+    assert traced_peak(run) <= 8 * 3000**2

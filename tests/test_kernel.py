@@ -1,7 +1,6 @@
 """Kernel evaluation, real spherical harmonics, saddle assembly, expansions."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from spherelag.kernel import (
 )
 from spherelag.solver import factor_solve
 
-from helpers import fib, random_unit_points, rng, spec
+from helpers import fib, random_unit_points, rng, spec, traced_peak
 
 TWO_LOG_TWO = 1.3862943611198906
 
@@ -193,16 +192,6 @@ def test_kernel_sum_rejects_mismatched_weights():
     for w in (np.ones(19), np.ones((20, 2, 2))):
         with pytest.raises(ValueError, match="weights"):
             kernel_sum(spec(2), pts, pts, w)
-
-
-def traced_peak(fn):
-    """Peak bytes traced while fn runs (numpy reports its buffers to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_full_saddle_memory_is_two_systems():

@@ -1,14 +1,12 @@
-"""Full Lagrange bases: cardinality, symmetry, native-space Gram matrix."""
+"""The dense full Lagrange basis of the test helpers: cardinality, symmetry, native-space Gram."""
 
 import numpy as np
 import pytest
 
-from spherelag import lagrange
 from spherelag.kernel import assemble_saddle, harmonic_basis_for, kernel_matrix
-from spherelag.lagrange import LagrangeBasis, eval_columns, full_lagrange, gram_discrete
 from spherelag.solver import SaddleSystem, factor_solve
 
-from helpers import fib, full_basis, probes, rng, spec
+from helpers import LagrangeBasis, eval_columns, fib, full_basis, probes, rng, spec
 
 
 def test_columns_are_cardinal_at_the_nodes():
@@ -46,12 +44,6 @@ def test_native_inner_positive_on_constraint_space():
     for xi in (0, 42, 99):
         a = basis.A[:, xi]
         assert a @ K @ a > 0.0
-
-
-def test_full_basis_size_cap(monkeypatch):
-    monkeypatch.setattr(lagrange, "FULL_BASIS_CAP", 20)
-    with pytest.raises(ValueError, match="cap 20"):
-        full_lagrange(fib(30), spec(2))
 
 
 def test_lagrange_functions_invariant_under_harmonic_basis_change():
@@ -92,10 +84,3 @@ def test_coefficient_norm_bounded_by_theta_inverse():
         y = rng(seed).normal(size=90)
         a, _ = factor_solve(system, np.concatenate([y, np.zeros(4)]))
         assert np.linalg.norm(a) <= np.linalg.norm(y) / theta * (1.0 + 1e-10)
-
-
-def test_gram_discrete_matches_direct_product():
-    pts = fib(70).points
-    basis = harmonic_basis_for(spec(2))
-    phi = basis.eval(pts)
-    assert np.allclose(gram_discrete(pts, basis), phi.T @ phi, atol=1e-14)

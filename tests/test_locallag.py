@@ -13,7 +13,6 @@ import spherelag as sl
 import spherelag.locallag as locallag
 import spherelag.solver as solver
 from spherelag.kernel import assemble_saddle, eval_kernel, harmonic_basis_for
-from spherelag.lagrange import eval_columns
 from spherelag.locallag import (
     FootprintRule,
     KernelMatvec,
@@ -32,7 +31,16 @@ from spherelag.solver import (
     factor_solve,
 )
 
-from helpers import blas_thread_counts, fib, full_basis, local_basis, probes, rng, spec
+from helpers import (
+    blas_thread_counts,
+    eval_columns,
+    fib,
+    full_basis,
+    local_basis,
+    probes,
+    rng,
+    spec,
+)
 
 
 def column(A, j):
@@ -145,6 +153,12 @@ def test_eval_local_function_rejects_centre_out_of_range():
     for bad in (-1, 300):
         with pytest.raises(ValueError, match=f"center_idx {bad} is outside 0..299"):
             eval_local_function(basis, bad, probes(5))
+    for bad in (1.5, np.float64(2.0), True):
+        with pytest.raises(ValueError, match=f"center_idx {bad} is not an integer in 0..299"):
+            eval_local_function(basis, bad, probes(5))
+    assert np.array_equal(
+        eval_local_function(basis, np.int64(2), probes(5)), eval_local_function(basis, 2, probes(5))
+    )
 
 
 def ring_nodes(n, z):

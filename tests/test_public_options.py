@@ -32,7 +32,6 @@ OPTIONS = {
     "InsufficientSamplesError": (),
     "KernelMatvec": ("materialize_limit",),
     "KernelSpec": (),
-    "LagrangeBasis": (),
     "LocalBasis": ("min_pivot_ratio", "grown"),
     "MeshStats": (),
     "NodeFileError": (),
@@ -53,19 +52,16 @@ OPTIONS = {
     "convergence_study": ("footprint",),
     "decay_study": ("center_idx",),
     "ensure_stats": (),
-    "eval_columns": (),
     "eval_kernel": (),
     "eval_local_function": (),
     "evaluate_expansion": (),
     "factor_solve": (),
     "fit_decay": ("q", "m"),
-    "full_lagrange": (),
     "gen_fibonacci": (),
     "gen_icosahedral": (),
     "gen_icosahedral_freq": (),
     "geodesic_distance": (),
     "gmres": ("x0", "tol", "maxit"),
-    "gram_discrete": (),
     "harmonic_basis_for": (),
     "interpolate_preconditioned": ("tol", "maxit", "materialize_limit"),
     "kernel_matrix": ("pts_b",),
