@@ -132,10 +132,15 @@ def _footprint_from_args(args):
 
 def cmd_nodes_gen(args, config):
     if args.kind == "icosahedral":
+        if args.n is not None:
+            raise ValueError("--n applies to fibonacci generation, not icosahedral")
         if (args.level is None) == (args.freq is None):
             raise ValueError("icosahedral generation needs exactly one of --level / --freq")
         nodes = gen_icosahedral(args.level) if args.level is not None else gen_icosahedral_freq(args.freq)
     else:
+        for flag, value in (("--level", args.level), ("--freq", args.freq)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to icosahedral generation, not fibonacci")
         if args.n is None:
             raise ValueError("fibonacci generation needs --n")
         nodes = gen_fibonacci(args.n)
@@ -258,9 +263,12 @@ def cmd_gram(args, config):
     if args.nodes:
         nodes = load_nodes(args.nodes)
         try:
-            lon, lat = (math.radians(float(x)) for x in args.cap_center.split(","))
+            lon, lat = (float(x) for x in args.cap_center.split(","))
         except ValueError:
             raise ValueError(f"--cap-center {args.cap_center}: expected lon,lat degrees") from None
+        if abs(lat) > 90.0:
+            raise ValueError(f"--cap-center {args.cap_center}: latitude must lie in [-90, 90] degrees")
+        lon, lat = math.radians(lon), math.radians(lat)
         try:
             center = sphere_point(
                 math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from . import solver
 from .geom import NodeSet, ensure_stats
 from .kernel import (
     KERNEL_TILE,
@@ -32,7 +30,7 @@ from .kernel import (
     kernel_sum,
     kernel_tiles,
 )
-from .solver import gmres, lu_solve, one_blas_thread, pivot_check, spmv, validated_csc
+from .solver import bordered_solve, gmres, on_workers, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
@@ -230,16 +228,15 @@ def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
 
     Centre i's stencil is rows[start[i]:start[i + 1]], with the centre first.
     Stencils of equal size are assembled together in chunks of at most
-    KERNEL_TILE**2 kernel entries, or one stencil, and each system is factored
-    and solved in place by lu_solve. assemble_saddle and factor_solve use the
-    same assembly and route, so each column is bitwise
+    KERNEL_TILE**2 kernel entries, or one stencil, and each chunk is solved in
+    place by solver.bordered_solve. assemble_saddle and factor_solve use the
+    same assembly and solve, so each column is bitwise
     factor_solve(assemble_saddle(...)) on its stencil. The chunks are shared
-    among solver.WORKERS threads inside one_blas_thread(), or solved on this
-    thread alone if no OpenBLAS was found; each chunk writes only its own
+    among the threads of solver.on_workers; each chunk writes only its own
     centres' entries. After its solve a stencil is sorted in place, and its
     kernel coefficients go to the same positions of vals (zeros where the
     system is singular). C and ratio receive the harmonic coefficients and
-    pivot ratios of pivot_check; both are undefined at singular centres.
+    pivot ratios; both are undefined at singular centres.
     """
     p = spec.poly_dim
     sizes = start[centres + 1] - start[centres]
@@ -257,64 +254,15 @@ def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
         stack = assemble_saddle_stack(spec, pts, phi, stencils)
         rhs = np.zeros(n + p)
         rhs[0] = 1.0
-        x = np.empty((len(cen), n + p))
-        scales = np.empty(len(cen))
-        for k, M in enumerate(stack):
-            scales[k] = np.abs(M).sum(axis=1).max()  # inf-norm, before M holds its LU
-            # M is symmetric, so M.T is the Fortran-ordered M that lu_solve overwrites
-            x[k] = lu_solve(M.T, rhs)[1]
-        ratio[cen], singular[cen] = pivot_check(stack, scales)
+        x, ratio[cen], singular[cen] = bordered_solve(stack, rhs)
         x[singular[cen], :n] = 0.0
         order = np.argsort(stencils, axis=1)
         rows[at] = np.take_along_axis(stencils, order, axis=1)
         vals[at] = np.take_along_axis(x[:, :n], order, axis=1)
         C[:, cen] = x[:, n:].T
 
-    with one_blas_thread() as found:
-        _on_workers(solve_chunk, chunks, solver.WORKERS if found else 1)
+    on_workers(solve_chunk, chunks)
     return np.flatnonzero(singular)
-
-
-def _on_workers(task, items, workers):
-    """task(item) for every item, on this thread and workers - 1 helper threads.
-
-    All of them take items from one shared iterator. The first error stops
-    every worker after its current item and is raised here; every helper has
-    ended when this returns or raises.
-    """
-    todo = iter(items)
-    lock = threading.Lock()
-    stop = threading.Event()
-    errors = []
-
-    def drain():
-        try:
-            while not stop.is_set():
-                with lock:
-                    item = next(todo, None)
-                if item is None:
-                    return
-                task(item)
-        except BaseException:
-            stop.set()
-            raise
-
-    def helper():
-        try:
-            drain()
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper, daemon=True) for _ in range(workers - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        drain()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _checked_centre(center_idx, n):

@@ -114,6 +114,43 @@ def one_blas_thread():
                     set_(count)
 
 
+def on_workers(task, items):
+    """task(item) for every item, on this thread and WORKERS - 1 helper threads.
+
+    Runs inside one_blas_thread(), and on this thread alone if no OpenBLAS was
+    found. Each thread takes one item at a time from one shared iterator. The
+    first error stops every thread after its current item and is raised here;
+    every helper has ended when this returns or raises.
+    """
+    todo = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        try:
+            while not errors:
+                with lock:
+                    item = next(todo, None)
+                if item is None:
+                    return
+                task(item)
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+
+    with one_blas_thread() as found:
+        workers = WORKERS if found else 1
+        helpers = [threading.Thread(target=drain, daemon=True) for _ in range(workers - 1)]
+        for thread in helpers:
+            thread.start()
+        try:
+            drain()
+        finally:
+            for thread in helpers:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 # ---- dense saddle systems ---- #
 
 @dataclass
@@ -132,26 +169,27 @@ class SaddleSystem:
         self.matrix = m
 
 
-def pivot_check(lu, scale):
-    """(min |U_ii| / scale, singular) for the LU factor of a matrix with inf-norm scale.
+def bordered_solve(stack, rhs):
+    """(x, pivot_ratio, singular) for each matrix M.T of a C-ordered stack, solving M x = rhs.
 
-    The factor counts as singular when min |U_ii| <= PIVOT_RTOL * scale. A
-    stack of factors and their scales gives an array of each.
+    Each stack[k].T is a Fortran-ordered M, which LAPACK getrf factors in
+    place, so stack holds the LU factors afterwards; getrs then solves for the
+    rhs, of length n or shape (n, r), that the stack shares. A symmetric M is
+    its own transpose. pivot_ratio is min |U_ii| / scale, where scale is the
+    inf-norm of stack[k] taken before it is factored (the 1-norm of M), and a
+    system is singular when min |U_ii| <= PIVOT_RTOL * scale; its x is then
+    undefined. The solves run inside one_blas_thread(): on one thread each x
+    is bitwise that of dgesv, which makes the same two calls.
     """
-    smallest = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
-    return smallest / scale, smallest <= PIVOT_RTOL * scale
-
-
-def lu_solve(a, rhs):
-    """(LU factor, solution) of a x = rhs: LAPACK getrf, then getrs.
-
-    A Fortran-ordered float64 a is factored in place, so a holds the factor
-    afterwards. The local basis build and factor_solve both solve through
-    here, inside one_blas_thread(): on one thread the result is bitwise that
-    of dgesv, which makes the same two calls.
-    """
-    lu, piv, _ = dgetrf(a, overwrite_a=1)
-    return lu, dgetrs(lu, piv, rhs)[0]
+    x = np.empty((len(stack), *np.shape(rhs)))
+    scales = np.empty(len(stack))
+    with one_blas_thread():
+        for k, M in enumerate(stack):
+            scales[k] = np.abs(M).sum(axis=1).max()
+            lu, piv, _ = dgetrf(M.T, overwrite_a=1)
+            x[k] = dgetrs(lu, piv, rhs)[0]
+    smallest = np.abs(np.diagonal(stack, axis1=-2, axis2=-1)).min(axis=-1)
+    return x, smallest / scales, smallest <= PIVOT_RTOL * scales
 
 
 def factor_solve(system, rhs):
@@ -159,23 +197,24 @@ def factor_solve(system, rhs):
 
     rhs has length n+p (trailing p entries zero for plain interpolation data);
     columns are independent problems. Returns (a, c) = (kernel coefficients,
-    polynomial coefficients). lu_solve factors a copy of the matrix on one
-    BLAS thread and solves, as the local basis build does; a pivot at or
-    below PIVOT_RTOL * ||M||_inf raises SingularSystemError.
+    polynomial coefficients). bordered_solve factors a copy of the matrix and
+    solves, as the local basis build does; a pivot at or below PIVOT_RTOL
+    times the matrix norm raises SingularSystemError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != system.n + system.p:
         raise ValueError(
             f"rhs length {rhs.shape[0]} does not match system size {system.n + system.p}"
         )
-    with one_blas_thread():
-        lu, sol = lu_solve(np.array(system.matrix, order="F"), rhs)
-    scale = np.abs(system.matrix).sum(axis=1).max()  # inf-norm
-    if pivot_check(lu, scale)[1]:
+    # a C-ordered copy of M.T, whose transpose is the Fortran-ordered M that
+    # getrf overwrites; getrf would factor a Fortran-ordered copy's transpose
+    # out of place, and the pivot check would read the unfactored matrix
+    x, _, singular = bordered_solve(np.array(system.matrix.T, order="C")[None], rhs)
+    if singular[0]:
         raise SingularSystemError(
             f"saddle system of size {system.n}+{system.p} is numerically singular"
         )
-    return sol[: system.n], sol[system.n :]
+    return x[0, : system.n], x[0, system.n :]
 
 
 # ---- compressed sparse column matrices ---- #

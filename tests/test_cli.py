@@ -63,6 +63,12 @@ def test_nodes_gen_argument_errors(tmp_path, capsys):
     assert main(args + ["--level", "1", "--freq", "2"]) == 1
     assert main(["nodes", "gen", "--kind", "fibonacci", "--out", out]) == 1
     assert "error:" in capsys.readouterr().err
+    # the size flag of the other kind is refused, not ignored
+    assert_domain_error(args + ["--level", "1", "--n", "50"], capsys, "--n applies to fibonacci")
+    fibonacci = ["nodes", "gen", "--kind", "fibonacci", "--n", "100", "--out", out]
+    assert_domain_error(fibonacci + ["--level", "3"], capsys, "--level applies to icosahedral")
+    assert_domain_error(fibonacci + ["--freq", "3"], capsys, "--freq applies to icosahedral")
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_nodes_gen_refuses_sets_beyond_the_cap(tmp_path, capsys):
@@ -469,6 +475,12 @@ def test_gram_rejects_a_non_finite_cap_centre(node_file, capsys):
 def test_gram_rejects_a_malformed_cap_centre(node_file, capsys, centre):
     argv = ["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", centre]
     assert_domain_error(argv, capsys, f"--cap-center {centre}: expected lon,lat degrees")
+
+
+@pytest.mark.parametrize("centre", ["0,95", "0,-90.5"])
+def test_gram_rejects_a_cap_centre_beyond_a_pole(node_file, capsys, centre):
+    argv = ["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", centre]
+    assert_domain_error(argv, capsys, f"--cap-center {centre}: latitude must lie in [-90, 90]")
 
 
 def test_study_decay(node_file, tmp_path):

@@ -266,8 +266,8 @@ def test_batched_build_matches_per_stencil_solves(case):
     A, C, ratio, grown = per_stencil_reference(nodes, sp, stencils, grow)
     basis = build_local_basis(nodes, sp, rule)
     assert basis.grown == len(grown) and (len(grown) > 0) == (case == "grown")
-    # the build and factor_solve both factor through lu_solve on one BLAS
-    # thread: bitwise at any thread count
+    # the build and factor_solve both solve through bordered_solve on one
+    # BLAS thread: bitwise at any thread count
     assert np.array_equal(basis.A_sparse.toarray(), A)
     assert np.array_equal(basis.C, C)
     if max(np.diff(basis.A_sparse.indptr)) < 200:

@@ -1,16 +1,23 @@
-"""Saddle solves, checked CSC storage, GMRES, and eigenvalue bounds."""
+"""Saddle solves, the worker pool, checked CSC storage, GMRES, and eigenvalue bounds."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgesv
 
 import spherelag as sl
+import spherelag.solver as solver
 from spherelag.solver import (
+    PIVOT_RTOL,
     GmresNotConvergedError,
     SaddleSystem,
     SingularSystemError,
+    bordered_solve,
     factor_solve,
     gmres,
+    on_workers,
     one_blas_thread,
     spmv,
     sym_eig_minmax,
@@ -113,6 +120,47 @@ def test_one_blas_thread_nests_and_restores_every_count():
             pass
         assert blas_thread_counts() == [1] * len(before)  # the outer scope still holds
     assert blas_thread_counts() == before
+
+
+@pytest.mark.parametrize("rhs_shape", [(24,), (24, 3)])
+def test_bordered_solve_flags_the_singular_system_of_a_stack(rhs_shape):
+    systems = [random_saddle(20, 4, seed=seed).matrix for seed in (10, 11, 12)]
+    systems[1][3] = systems[1][4]  # duplicate row and column
+    systems[1][:, 3] = systems[1][:, 4]
+    rhs = rng(13).normal(size=rhs_shape)
+    x, ratio, singular = bordered_solve(np.array(systems), rhs)
+    assert x.shape == (3, *rhs_shape)
+    assert singular.tolist() == [False, True, False]
+    assert ratio[1] <= PIVOT_RTOL < min(ratio[0], ratio[2])
+    with one_blas_thread():
+        for k in (0, 2):
+            assert np.array_equal(x[k], dgesv(np.array(systems[k], order="F"), rhs)[2])
+
+
+def test_on_workers_runs_each_item_once(monkeypatch):
+    monkeypatch.setattr(solver, "WORKERS", 4)
+    done = []
+    on_workers(done.append, [0, 1, 2])
+    assert sorted(done) == [0, 1, 2]
+
+
+def test_on_workers_stops_and_reraises_the_first_error(monkeypatch):
+    monkeypatch.setattr(solver, "WORKERS", 4)
+    before, threads_before = blas_thread_counts(), threading.active_count()
+    started = []
+
+    def task(item):
+        started.append(item)
+        if item == 5:
+            raise RuntimeError("item 5 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(RuntimeError, match="item 5 failed"):
+        on_workers(task, range(100))
+    # each other thread finishes its current item and may start one more
+    assert len(started) - started.index(5) - 1 < solver.WORKERS
+    assert blas_thread_counts() == before
+    assert threading.active_count() == threads_before
 
 
 def test_singular_saddle_raises():
