@@ -20,6 +20,7 @@ from .geom import (
 from .neighbors import ball, build_index, knn, knn_all
 from .kernel import (
     HarmonicBasis,
+    KernelMatvec,
     KernelSpec,
     assemble_saddle,
     eval_kernel,
@@ -42,7 +43,6 @@ from .solver import (
 )
 from .locallag import (
     FootprintRule,
-    KernelMatvec,
     LocalBasis,
     QuasiInterpolant,
     StencilFailureError,

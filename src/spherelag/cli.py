@@ -19,15 +19,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    ConvergenceRow,
-    InsufficientSamplesError,
-    convergence_study,
-    decay_study,
-)
+from .diagnostics import ConvergenceRow, convergence_study, decay_study
 from .geom import (
-    DuplicateNodesError,
-    NodeFileError,
     gen_fibonacci,
     gen_icosahedral,
     gen_icosahedral_freq,
@@ -50,24 +43,12 @@ from .locallag import (
     save_coeffs,
 )
 from .neighbors import build_index
-from .solver import (
-    GmresNotConvergedError,
-    NonUnisolventError,
-    SingularSystemError,
-    sym_eig_minmax,
-)
+from .solver import GmresNotConvergedError, sym_eig_minmax
 
-DOMAIN_ERRORS = (
-    NodeFileError,
-    DuplicateNodesError,
-    SingularSystemError,
-    NonUnisolventError,
-    StencilFailureError,
-    GmresNotConvergedError,
-    InsufficientSamplesError,
-    ValueError,
-    OSError,
-)
+# Every error of the package is one of these: the node file, duplicate node,
+# too-few-samples, singular and non-unisolvent errors are ValueErrors (the last
+# two through numpy's LinAlgError).
+DOMAIN_ERRORS = (ValueError, OSError, StencilFailureError, GmresNotConvergedError)
 
 
 @dataclass
@@ -260,21 +241,22 @@ def cmd_gram(args, config):
     rows = [
         (i, j, float(G[i, j])) for i in range(4) for j in range(4)
     ]
+    # --cap-center is checked whether or not --nodes asks for the discrete comparison
+    try:
+        lon, lat = (float(x) for x in args.cap_center.split(","))
+    except ValueError:
+        raise ValueError(f"--cap-center {args.cap_center}: expected lon,lat degrees") from None
+    if abs(lat) > 90.0:
+        raise ValueError(f"--cap-center {args.cap_center}: latitude must lie in [-90, 90] degrees")
+    lon, lat = math.radians(lon), math.radians(lat)
+    try:
+        center = sphere_point(
+            math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
+        )
+    except ValueError as exc:
+        raise ValueError(f"--cap-center {args.cap_center}: {exc}") from None
     if args.nodes:
         nodes = load_nodes(args.nodes)
-        try:
-            lon, lat = (float(x) for x in args.cap_center.split(","))
-        except ValueError:
-            raise ValueError(f"--cap-center {args.cap_center}: expected lon,lat degrees") from None
-        if abs(lat) > 90.0:
-            raise ValueError(f"--cap-center {args.cap_center}: latitude must lie in [-90, 90] degrees")
-        lon, lat = math.radians(lon), math.radians(lat)
-        try:
-            center = sphere_point(
-                math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
-            )
-        except ValueError as exc:
-            raise ValueError(f"--cap-center {args.cap_center}: {exc}") from None
         inside = geodesic_distance(center, nodes.points) <= args.r
         report = cap_gram_compare(nodes.points[inside], center, args.r)
         extra += [

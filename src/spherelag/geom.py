@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,11 +44,11 @@ class MeshStats:
 class NodeSet:
     """Ordered set of distinct, finite unit vectors.
 
-    `stats` is a cache slot filled by ensure_stats.
+    `stats` is a cache slot filled by ensure_stats; the constructor does not take it.
     """
 
     points: np.ndarray
-    stats: MeshStats | None = None
+    stats: MeshStats | None = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))

@@ -78,10 +78,17 @@ def eval_kernel(spec, a, b):
     return kernel_values(spec, np.einsum("...i,...i->...", a, b))
 
 
-# Side of the square blocks that kernel_tiles and kernel_sum work in. A tile
+# Side of the square blocks that KernelMatvec and kernel_sum work in. A tile
 # and its logarithm temporary take 2 x 512 KiB, which stays in cache while
 # the transform runs; larger row blocks are bound by memory bandwidth.
 KERNEL_TILE = 256
+
+# Largest N for which KernelMatvec keeps the kernel matrix instead of
+# recomputing it tile by tile inside every product. Only its upper-triangle
+# tiles are kept, 4 N (N + 256) bytes: measured peaks 0.547 x 8 N^2 at
+# N = 3000, 431 MB at 10242 and 589 MB at 12000. Beyond the limit the matrix
+# never exists in full.
+MATERIALIZE_LIMIT = 12_000
 
 
 def _symmetrized(t):
@@ -103,21 +110,17 @@ def _tile(spec, pts_i, pts_j=None):
     return _kernel_inplace(spec, pts_i @ pts_j.T)
 
 
-def _upper_tiles(n):
-    """(rows, cols) index ranges of the KERNEL_TILE tiles on and above the diagonal."""
-    spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
-    return [(rows, cols) for a, rows in enumerate(spans) for cols in spans[a:]]
+def _upper_tiles(spec, points):
+    """(rows, cols, K[rows, cols]) for each KERNEL_TILE tile on and above the diagonal.
 
-
-def kernel_tiles(spec, points):
-    """The kernel matrix of points as its upper-triangle tiles, computed one at a time.
-
-    Yields (rows, cols, K[rows, cols]) for each KERNEL_TILE tile on and above
-    the diagonal; each tile comes from its own dot product and the diagonal
-    tiles are exactly symmetric.
+    The tiles are computed one at a time, each from its own dot product; the
+    diagonal tiles are exactly symmetric.
     """
-    for rows, cols in _upper_tiles(points.shape[0]):
-        yield rows, cols, _tile(spec, points[rows], None if rows == cols else points[cols])
+    n = points.shape[0]
+    spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
+    for a, rows in enumerate(spans):
+        for cols in spans[a:]:
+            yield rows, cols, _tile(spec, points[rows], None if rows == cols else points[cols])
 
 
 def _checked_weights(weights, n_sources):
@@ -127,20 +130,32 @@ def _checked_weights(weights, n_sources):
     return w
 
 
-def apply_tiles(tiles, n, weights):
-    """K w for the symmetric n x n kernel matrix given by its upper-triangle tiles.
+class KernelMatvec:
+    """v -> K v for the symmetric kernel matrix of points, v of shape (N,) or (N, q).
 
-    Each tile is applied as K_ij and K_ij^T. The symmetric kernel_sum passes
-    kernel_tiles, so every tile is dropped after use; a cached operator passes
-    the stored list. Both give bitwise the same sum.
+    Only the upper-triangle tiles are evaluated, each applied as K_ij and
+    K_ij^T, which halves the logarithms. Up to `materialize_limit` points,
+    `matrix` is the list of those tiles, kept from the constructor on; above
+    it `matrix` is None and every product recomputes the tiles, one in memory
+    at a time. Both run the same loop, so they give bitwise the same result.
+    A one-off product is KernelMatvec(spec, points, materialize_limit=0)(v).
     """
-    w = _checked_weights(weights, n)
-    out = np.zeros(w.shape)
-    for rows, cols, k in tiles:
-        out[rows] += k @ w[cols]
-        if rows != cols:
-            out[cols] += k.T @ w[rows]
-    return out
+
+    def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
+        self.spec = spec
+        self.points = np.asarray(points, dtype=np.float64)
+        n = self.points.shape[0]
+        self.matrix = list(_upper_tiles(spec, self.points)) if n <= materialize_limit else None
+
+    def __call__(self, v):
+        w = _checked_weights(v, self.points.shape[0])
+        out = np.zeros(w.shape)
+        tiles = self.matrix if self.matrix is not None else _upper_tiles(self.spec, self.points)
+        for rows, cols, k in tiles:
+            out[rows] += k @ w[cols]
+            if rows != cols:
+                out[cols] += k.T @ w[rows]
+        return out
 
 
 def kernel_matrix(spec, pts_a, pts_b=None):
@@ -157,15 +172,15 @@ def kernel_sum(spec, targets, sources, weights):
     """sum_j k_m(targets[i], sources[j]) weights[j] for every target i.
 
     weights is (N,) or (N, q) for N sources. The sum runs over KERNEL_TILE
-    square tiles, so the memory beyond the output is one tile. When targets is
-    sources the kernel matrix is symmetric: only the upper-triangle tiles are
-    evaluated, each applied as K_ij and K_ij^T, which halves the logarithms.
+    square tiles, so the memory beyond the output is one tile. Every tile is
+    evaluated, whether or not targets and sources are the same points; the
+    symmetric product that evaluates half of them is KernelMatvec.
     """
-    symmetric = targets is sources
     targets = np.asarray(targets, dtype=np.float64)
-    sources = np.asarray(sources, dtype=np.float64)
-    if symmetric:
-        return apply_tiles(kernel_tiles(spec, targets), targets.shape[0], weights)
+    # A copy, so that no tile multiplies a block of points by its own
+    # transpose: numpy takes the symmetric product (syrk) for that, which
+    # rounds differently from the general product of every other tile.
+    sources = np.array(sources, dtype=np.float64)
     w = _checked_weights(weights, sources.shape[0])
     out = np.zeros((targets.shape[0],) + w.shape[1:])
     T = KERNEL_TILE

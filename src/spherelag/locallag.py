@@ -22,26 +22,18 @@ import scipy.sparse
 from .geom import NodeSet, ensure_stats
 from .kernel import (
     KERNEL_TILE,
+    MATERIALIZE_LIMIT,
+    KernelMatvec,
     KernelSpec,
-    apply_tiles,
     assemble_saddle_stack,
     evaluate_expansion,
     harmonic_basis_for,
-    kernel_sum,
-    kernel_tiles,
 )
 from .solver import bordered_solve, gmres, on_workers, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
 MAX_NODES = 200_000
-
-# Largest N for which the kernel matrix is materialized (once) instead of
-# recomputed tile by tile inside every matvec. Only its upper-triangle tiles
-# are kept, 4 N (N + 256) bytes: measured peaks 0.547 x 8 N^2 at N = 3000,
-# 431 MB at 10242 and 589 MB at 12000. Beyond the limit the matrix never
-# exists in full.
-MATERIALIZE_LIMIT = 12_000
 
 # Stencils a build holds as query results at once, before their 32-bit copy:
 # all 2562 radius stencils of about 300 nodes at once took 6.4 MB.
@@ -331,29 +323,6 @@ def quasi_interpolate(basis, f_values):
         kernel_weights=spmv(basis.A_sparse, g),
         poly_weights=basis.C @ g + beta,
     )
-
-
-class KernelMatvec:
-    """v -> K v for the full kernel matrix, materialized only when N is small.
-
-    Up to `materialize_limit` nodes, `matrix` is the list of upper-triangle
-    tiles (rows, cols, K[rows, cols]) that the symmetric kernel_sum computes,
-    kept instead of dropped, and each product applies them as that sum does:
-    the two routes give bitwise the same result. Above the limit `matrix` is
-    None and each product is a symmetric kernel_sum, which recomputes the tiles
-    and keeps memory at one tile.
-    """
-
-    def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
-        self.spec = spec
-        self.points = np.asarray(points, dtype=np.float64)
-        n = self.points.shape[0]
-        self.matrix = list(kernel_tiles(spec, self.points)) if n <= materialize_limit else None
-
-    def __call__(self, v):
-        if self.matrix is not None:
-            return apply_tiles(self.matrix, self.points.shape[0], v)
-        return kernel_sum(self.spec, self.points, self.points, v)
 
 
 def interpolate_preconditioned(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spherelag
 from spherelag import (
     KernelSpec,
     NodeSet,
@@ -460,6 +461,13 @@ def test_gram_discrete_comparison(tmp_path, capsys):
     assert "within_hypothesis=True" in out
 
 
+def test_domain_errors_catch_every_exported_error():
+    # an error type outside DOMAIN_ERRORS would reach the user as a traceback
+    errors = [e for e in vars(spherelag).values() if isinstance(e, type) and issubclass(e, Exception)]
+    assert len(errors) >= 7  # the seven of today: the scan found them
+    assert [e.__name__ for e in errors if not issubclass(e, cli.DOMAIN_ERRORS)] == []
+
+
 def test_gram_domain_error(capsys):
     assert main(["gram", "--r", "-1"]) == 1
     assert "cap radius" in capsys.readouterr().err
@@ -471,15 +479,37 @@ def test_gram_rejects_a_non_finite_cap_centre(node_file, capsys):
     assert "--cap-center nan,0" in err and "non-finite" in err
 
 
-@pytest.mark.parametrize("centre", ["1,2,3", "a,b", "5"])
-def test_gram_rejects_a_malformed_cap_centre(node_file, capsys, centre):
-    argv = ["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", centre]
+def gram_argv(node_file, centre, nodes):
+    """gram at r = 0.5 with --cap-center centre, with or without the --nodes comparison."""
+    return ["gram", "--r", "0.5", "--cap-center", centre] + (
+        ["--nodes", str(node_file)] if nodes else []
+    )
+
+
+@pytest.mark.parametrize(
+    "centre, nodes",
+    [
+        pytest.param("1,2,3", True, id="1,2,3"),
+        pytest.param("a,b", True, id="a,b"),
+        pytest.param("5", True, id="5"),
+        pytest.param("abc", False, id="abc-without-nodes"),
+    ],
+)
+def test_gram_rejects_a_malformed_cap_centre(node_file, capsys, centre, nodes):
+    argv = gram_argv(node_file, centre, nodes)
     assert_domain_error(argv, capsys, f"--cap-center {centre}: expected lon,lat degrees")
 
 
-@pytest.mark.parametrize("centre", ["0,95", "0,-90.5"])
-def test_gram_rejects_a_cap_centre_beyond_a_pole(node_file, capsys, centre):
-    argv = ["gram", "--r", "0.5", "--nodes", str(node_file), "--cap-center", centre]
+@pytest.mark.parametrize(
+    "centre, nodes",
+    [
+        pytest.param("0,95", True, id="0,95"),
+        pytest.param("0,-90.5", True, id="0,-90.5"),
+        pytest.param("0,95", False, id="0,95-without-nodes"),
+    ],
+)
+def test_gram_rejects_a_cap_centre_beyond_a_pole(node_file, capsys, centre, nodes):
+    argv = gram_argv(node_file, centre, nodes)
     assert_domain_error(argv, capsys, f"--cap-center {centre}: latitude must lie in [-90, 90]")
 
 

@@ -284,6 +284,13 @@ def test_ensure_stats_caches():
     assert s1 == mesh_stats(ns)
 
 
+def test_node_set_constructor_takes_no_stats():
+    # a radius-mode build would trust the h of a MeshStats passed in
+    ns = fib(300)
+    with pytest.raises(TypeError):
+        sl.NodeSet(ns.points, stats=mesh_stats(ns))
+
+
 def test_mesh_stats_rejects_tiny_probe_budget():
     with pytest.raises(ValueError):
         mesh_stats(fib(300), probe_n=100)

@@ -1,9 +1,12 @@
-"""The package's threads and LAPACK factorisations live in solver.py alone.
+"""The package's threads and LAPACK factorisations live in solver.py alone,
+and its kernel tiles in kernel.py alone.
 
 The local basis build and factor_solve share one stencil solve,
 solver.bordered_solve, and the build's threads come from solver.on_workers.
 A module that imports threading, ctypes or LAPACK directly would start a
-second route beside them. The modules are read as source, not imported.
+second route beside them. Likewise every symmetric kernel product is one loop
+of KernelMatvec over one tile format; a module that names a tile helper could
+split that loop again. The modules are read as source, not imported.
 """
 
 import ast
@@ -12,6 +15,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spherelag"
 
 CONFINED = {"threading", "concurrent.futures", "ctypes", "scipy.linalg.lapack"}
+
+# Helpers that form or apply kernel tiles, and the names of the two that were
+# folded into KernelMatvec.
+TILE_HELPERS = {"_tile", "_upper_tiles", "_kernel_inplace", "kernel_tiles", "apply_tiles"}
 
 
 def imported_modules(path):
@@ -30,3 +37,25 @@ def test_only_solver_imports_threads_ctypes_or_lapack():
     assert modules, f"no modules under {PACKAGE}"
     importers = {path.name: sorted(imported_modules(path) & CONFINED) for path in modules}
     assert {name for name, found in importers.items() if found} == {"solver.py"}, importers
+
+
+def named_identifiers(path):
+    """Every name, attribute and imported name a source file mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.name.rpartition(".")[2]}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_kernel_names_the_tile_helpers():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    users = {path.name: sorted(named_identifiers(path) & TILE_HELPERS) for path in modules}
+    assert {name for name, found in users.items() if found} == {"kernel.py"}, users

@@ -35,7 +35,7 @@ OPTIONS = {
     "LocalBasis": ("min_pivot_ratio", "grown"),
     "MeshStats": (),
     "NodeFileError": (),
-    "NodeSet": ("stats",),
+    "NodeSet": (),
     "NodeSet.fingerprint": (),
     "NonUnisolventError": (),
     "QuasiInterpolant": (),
