@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import ConvergenceRow, convergence_study, decay_study
 from .geom import (
+    MAX_GENERATED,
     gen_fibonacci,
     gen_icosahedral,
     gen_icosahedral_freq,
@@ -42,7 +43,6 @@ from .locallag import (
     save_basis,
     save_coeffs,
 )
-from .neighbors import build_index
 from .solver import GmresNotConvergedError, sym_eig_minmax
 
 # Every error of the package is one of these: the node file, duplicate node,
@@ -192,14 +192,16 @@ def _parse_grid(text):
         raise ValueError(f"bad grid spec {text!r}, expected grid:NLATxNLON") from None
     if n_lat < 1 or n_lon < 1:
         raise ValueError(f"bad grid spec {text!r}: each side must be at least 1")
+    if n_lat * n_lon > MAX_GENERATED:
+        raise ValueError(f"bad grid spec {text!r}: more than {MAX_GENERATED} points")
     return n_lat, n_lon
 
 
 def cmd_eval(args, config):
+    grid = _parse_grid(args.at)
     nodes = load_nodes(args.nodes)
     spec = KernelSpec(args.m)
     a, c = load_coeffs(args.coeffs, nodes, spec)
-    grid = _parse_grid(args.at)
     if grid is not None:
         n_lat, n_lon = grid
         lats = np.linspace(-90.0, 90.0, n_lat)

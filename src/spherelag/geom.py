@@ -359,9 +359,9 @@ def load_nodes(path):
     """Read a node file: 'x y z' per line, '#' comments and blank lines skipped.
 
     A line with a non-finite coordinate (nan, inf) is rejected. Rows off the
-    sphere by more than 1e-12 are normalized (count recorded on the returned
-    set and reported via warnings.warn). Exact duplicate points are rejected
-    with the offending 1-based line numbers.
+    sphere by more than 1e-12 are normalized, and warnings.warn reports their
+    count; the returned set does not record it. Exact duplicate points are
+    rejected with the offending 1-based line numbers.
     """
     rows = []
     line_numbers = []

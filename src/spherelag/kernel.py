@@ -19,17 +19,23 @@ from .solver import SaddleSystem
 SURFACE_CUTOFF = 1e-14
 
 
+def is_integer(value):
+    """True for Python and numpy integers; a bool is not an integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel order m >= 2; poly_dim = m^2 constrained harmonics; sup norm of k_m."""
+    """Kernel order m >= 2, an int; poly_dim = m^2 constrained harmonics; sup norm of k_m."""
 
     m: int
     poly_dim: int = field(init=False)
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError(f"kernel order must be an integer >= 2, got {self.m}")
+        if not is_integer(self.m) or self.m < 2:
+            raise ValueError(f"kernel order must be an integer >= 2, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "poly_dim", self.m * self.m)
         # max of |s^(m-1) log s| over s = 1 - x.a in (0, 2]: on (0, 1) it is at
         # most 1/(e (m-1)) < 1/e, and on [1, 2] it increases to the endpoint

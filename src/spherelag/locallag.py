@@ -11,7 +11,6 @@ essentially independent of N.
 
 from __future__ import annotations
 
-import itertools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -28,16 +27,13 @@ from .kernel import (
     assemble_saddle_stack,
     evaluate_expansion,
     harmonic_basis_for,
+    is_integer,
 )
 from .solver import bordered_solve, gmres, on_workers, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all
 
 # Refuse node sets beyond this size outright.
 MAX_NODES = 200_000
-
-# Stencils a build holds as query results at once, before their 32-bit copy:
-# all 2562 radius stencils of about 300 nodes at once took 6.4 MB.
-_QUERY_BLOCK = 256
 
 
 class StencilFailureError(RuntimeError):
@@ -60,7 +56,7 @@ class FootprintRule:
     target, a given M makes it round(M * log(N)^2) with natural log, and the
     default FootprintRule() makes it 7 * ceil(log10(N)^2). radius mode: r(h) =
     M*h*log(1/h) and the footprint is a geodesic ball. M must be finite and
-    positive, fixed_n at least 1, and a rule takes at most one of them.
+    positive, fixed_n an integer >= 1, and a rule takes at most one of them.
 
     The default gives 63, 84, 119, 140, 154, 175, 196 nodes at N = 900, 2562,
     10242, 23042, 40962, 92162, 163842. This is the paper's preconditioning
@@ -83,14 +79,17 @@ class FootprintRule:
         if self.fixed_n is not None:
             if self.M is not None:
                 raise ValueError("a footprint rule takes M or fixed_n, not both")
+            if not is_integer(self.fixed_n):
+                raise ValueError(f"footprint size fixed_n must be an integer, got {self.fixed_n!r}")
             if self.fixed_n < 1:
                 raise ValueError(f"footprint size fixed_n must be at least 1, got {self.fixed_n}")
+            object.__setattr__(self, "fixed_n", int(self.fixed_n))
 
     def stencil_count(self, n_nodes, m):
         if self.mode != "count":
             raise ValueError("stencil_count applies to count mode only")
         if self.fixed_n is not None:
-            target = int(self.fixed_n)
+            target = self.fixed_n
         elif n_nodes <= 1:
             target = 1
         elif self.M is None:
@@ -154,31 +153,17 @@ def build_local_basis(nodes, spec, footprint=None):
     else:
         stats = ensure_stats(nodes)
         r = footprint.stencil_radius(stats.h)
-        start, rows = _stencil_layout(n, centres, (ball(index, pts[i], r) for i in range(n)))
+        start, rows = _stencil_layout(n, centres, [ball(index, pts[i], r) for i in range(n)])
         grow = lambda i: ball(index, pts[i], 2 * r)
 
     phi = harmonic_basis_for(spec).eval(pts)
     C = np.empty((spec.poly_dim, n))
     ratio = np.empty(n)
-
-    def solve(centres, start, rows):
-        """Columns of centres from their stencils as a CSC array, and the singular centres.
-
-        A centre whose system is singular has an empty column; those centres
-        are returned in order.
-        """
-        vals = np.empty(rows.size)
-        failed = _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio)
-        keep = vals != 0.0  # exact zeros, and the columns of failed centres, are not stored
-        if not keep.all():
-            start = np.concatenate([[0], np.cumsum(keep, dtype=start.dtype)])[start]
-            rows, vals = rows[keep], vals[keep]
-        return validated_csc((n, n), start, rows, vals), failed
-
-    A, failed = solve(centres, start, rows)
+    A, failed = _cardinal_solves(spec, pts, phi, centres, start, rows, C, ratio)
     grown = int(failed.size)
     if grown:
-        retried, failed = solve(failed, *_stencil_layout(n, failed, [grow(i) for i in failed]))
+        layout = _stencil_layout(n, failed, [grow(i) for i in failed])
+        retried, failed = _cardinal_solves(spec, pts, phi, failed, *layout, C, ratio)
         A = A + retried  # the retried columns are empty in A and the only ones in retried
     if failed.size:
         raise StencilFailureError(failed.tolist())
@@ -197,26 +182,17 @@ def _stencil_layout(n, centres, stencils):
 
     Column i of an n-column CSC array spans rows[start[i]:start[i + 1]], which
     is empty unless i is a centre. Both are 32-bit while the count fits. The
-    stencils come one per centre, as the rows of one array or as an iterable
-    consumed _QUERY_BLOCK at a time, of which only a 32-bit copy is kept.
+    stencils come one per centre, as the rows of one array or as a list.
     """
-    if isinstance(stencils, np.ndarray):
-        sizes, blocks = [stencils.shape[1]] * len(stencils), [stencils.ravel()]
-    else:
-        sizes, blocks = [], []
-        stencils = iter(stencils)
-        while block := list(itertools.islice(stencils, _QUERY_BLOCK)):
-            sizes += [len(s) for s in block]
-            blocks.append(np.concatenate(block, dtype=np.int32))
     counts = np.zeros(n, dtype=np.int64)
-    counts[centres] = sizes
+    counts[centres] = [len(s) for s in stencils]
     start = np.concatenate([[0], np.cumsum(counts)])
     dtype = np.int32 if start[-1] <= np.iinfo(np.int32).max else np.int64
-    return start.astype(dtype), np.concatenate(blocks, dtype=dtype)
+    return start.astype(dtype), np.concatenate(stencils, axis=None, dtype=dtype)
 
 
-def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
-    """Cardinal solutions of the bordered systems of centres; returns the singular ones.
+def _cardinal_solves(spec, pts, phi, centres, start, rows, C, ratio):
+    """The columns of centres as a CSC array, and the singular centres in order.
 
     Centre i's stencil is rows[start[i]:start[i + 1]], with the centre first.
     Stencils of equal size are assembled together in chunks of at most
@@ -225,10 +201,10 @@ def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
     same assembly and solve, so each column is bitwise
     factor_solve(assemble_saddle(...)) on its stencil. The chunks are shared
     among the threads of solver.on_workers; each chunk writes only its own
-    centres' entries. After its solve a stencil is sorted in place, and its
-    kernel coefficients go to the same positions of vals (zeros where the
-    system is singular). C and ratio receive the harmonic coefficients and
-    pivot ratios; both are undefined at singular centres.
+    centres' entries. The kernel coefficients are stored in stencil order,
+    then SciPy sorts each column and drops the exact zeros, so a singular
+    centre has an empty column. C and ratio receive the harmonic coefficients
+    and pivot ratios; both are undefined at singular centres.
     """
     p = spec.poly_dim
     sizes = start[centres + 1] - start[centres]
@@ -238,28 +214,29 @@ def _cardinal_solves(spec, pts, phi, centres, start, rows, vals, C, ratio):
         step = max(1, KERNEL_TILE**2 // int(size) ** 2)
         chunks += [same[lo : lo + step] for lo in range(0, len(same), step)]
     singular = np.zeros(len(pts), dtype=bool)
+    vals = np.empty(rows.size)
 
     def solve_chunk(cen):
         n = int(start[cen[0] + 1] - start[cen[0]])
         at = start[cen, None] + np.arange(n)
-        stencils = rows[at]
-        stack = assemble_saddle_stack(spec, pts, phi, stencils)
+        stack = assemble_saddle_stack(spec, pts, phi, rows[at])
         rhs = np.zeros(n + p)
         rhs[0] = 1.0
         x, ratio[cen], singular[cen] = bordered_solve(stack, rhs)
         x[singular[cen], :n] = 0.0
-        order = np.argsort(stencils, axis=1)
-        rows[at] = np.take_along_axis(stencils, order, axis=1)
-        vals[at] = np.take_along_axis(x[:, :n], order, axis=1)
+        vals[at] = x[:, :n]
         C[:, cen] = x[:, n:].T
 
     on_workers(solve_chunk, chunks)
-    return np.flatnonzero(singular)
+    A = scipy.sparse.csc_array((vals, rows, start), shape=(len(pts), len(pts)))
+    A.sort_indices()
+    A.eliminate_zeros()
+    return A, np.flatnonzero(singular)
 
 
 def _checked_centre(center_idx, n):
     """center_idx as an int; it must be an integer in 0..n-1, and not a bool."""
-    if isinstance(center_idx, bool) or not isinstance(center_idx, (int, np.integer)):
+    if not is_integer(center_idx):
         raise ValueError(f"center_idx {center_idx} is not an integer in 0..{n - 1}")
     if not 0 <= center_idx < n:
         raise ValueError(f"center_idx {center_idx} is outside 0..{n - 1}")

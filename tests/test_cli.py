@@ -168,7 +168,7 @@ def test_eval_grid_layout(node_file, basis_file, tmp_path):
 def test_eval_rejects_malformed_grid(node_file, basis_file, tmp_path, capsys):
     coeffs = tmp_path / "coeffs.npz"
     main(["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--out", str(coeffs)])
-    for grid in ("grid:20by40", "grid:0x5", "grid:-1x5", "grid:5x0"):
+    for grid in ("grid:20by40", "grid:0x5", "grid:-1x5", "grid:5x0", "grid:1001x1000"):
         argv = ["eval", "--nodes", str(node_file), "--coeffs", str(coeffs), "--at", grid]
         assert_domain_error(argv, capsys, f"bad grid spec {grid!r}")
 

@@ -44,9 +44,11 @@ def test_spec_validation_and_derived_fields():
     assert k2.poly_dim == 4
     assert k2.sup_norm == pytest.approx(TWO_LOG_TWO, abs=1e-15)
     assert sl.KernelSpec(3).poly_dim == 9
-    for bad in (1, 0, -2, 2.5, "2"):
-        with pytest.raises(ValueError):
+    for bad in (1, 0, -2, 2.5, "2", True, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="kernel order must be an integer >= 2"):
             sl.KernelSpec(bad)
+    k3 = sl.KernelSpec(np.int64(3))
+    assert type(k3.m) is int and k3 == sl.KernelSpec(3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

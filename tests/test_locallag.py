@@ -90,6 +90,9 @@ def test_footprint_rule_validation():
         ({"mode": "radius", "M": 2.0, "fixed_n": 40}, "M or fixed_n, not both"),
         ({"mode": "radius", "fixed_n": 40}, "needs M"),
         ({"mode": "radius"}, "needs M"),
+        ({"fixed_n": 2.5}, "fixed_n must be an integer"),
+        ({"fixed_n": 40.0}, "fixed_n must be an integer"),
+        ({"fixed_n": True}, "fixed_n must be an integer"),
     ],
 )
 def test_footprint_rule_rejects_bad_sizes(kwargs, match):
@@ -100,6 +103,8 @@ def test_footprint_rule_rejects_bad_sizes(kwargs, match):
 def test_footprint_rule_count_modes():
     assert FootprintRule(fixed_n=30).stencil_count(900, 2) == 30
     assert FootprintRule(fixed_n=30).stencil_count(12, 2) == 12
+    numpy_n = FootprintRule(fixed_n=np.int64(30))
+    assert type(numpy_n.fixed_n) is int and numpy_n == FootprintRule(fixed_n=30)
     assert FootprintRule(M=11.0).stencil_count(400, 2) == round(11.0 * np.log(400.0) ** 2)
     assert FootprintRule(M=1e-6).stencil_count(400, 3) == 10  # m^2 + 1 floor
 
@@ -270,6 +275,9 @@ def test_batched_build_matches_per_stencil_solves(case):
     # BLAS thread: bitwise at any thread count
     assert np.array_equal(basis.A_sparse.toarray(), A)
     assert np.array_equal(basis.C, C)
+    # sorted rows, no stored zeros and 32-bit indices, the retried build's too
+    assert basis.A_sparse.has_canonical_format and np.all(basis.A_sparse.data != 0.0)
+    assert basis.A_sparse.indptr.dtype == basis.A_sparse.indices.dtype == np.int32
     if max(np.diff(basis.A_sparse.indptr)) < 200:
         # OpenBLAS factors systems this small on one thread at any thread count
         assert basis.min_pivot_ratio == ratio
