@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SaddleSystem
+from .solver import SaddleSystem, on_workers
 
 # 1 - x.a below this is treated as a coincident pair; the kernel limit is 0.
 SURFACE_CUTOFF = 1e-14
@@ -43,14 +43,16 @@ class KernelSpec:
         object.__setattr__(self, "sup_norm", 2.0 ** (self.m - 1) * math.log(2.0))
 
 
-def _kernel_inplace(spec, t):
+def _kernel_inplace(spec, t, logs=None):
     """Turn a float64 array of dot products into k_m values in place.
 
     Takes s = 1 - t, caps s at 2 (t below -1), masks s < SURFACE_CUTOFF, then
     forms sign * s^(m-1) * log(s), with the limit 0 on the mask. Every t above
     1 lands in the mask, so t needs no upper clip. The cap and the mask are
-    only formed when some entry needs them; NaN stays NaN. Allocates one
-    temporary of t's size (the logarithm) plus a boolean mask, and rounds
+    only formed when some entry needs them; NaN stays NaN. Without logs the
+    logarithm is one temporary of t's size, plus a boolean mask. logs is a
+    flat float64 buffer to hold it instead; a C-contiguous matrix larger than
+    logs goes through in row blocks that fit. Either way every entry rounds
     exactly as clipping t to [-1, 1] and applying the unfused formula.
     """
     np.subtract(1.0, t, out=t)
@@ -58,17 +60,24 @@ def _kernel_inplace(spec, t):
         return t
     if not t.max() <= 2.0:
         np.minimum(t, 2.0, out=t)
-    near = None if t.min() >= SURFACE_CUTOFF else t < SURFACE_CUTOFF
-    if near is not None:
-        np.copyto(t, 1.0, where=near)
-    logs = np.log(t)
-    if spec.m > 2:
-        np.power(t, spec.m - 1, out=t)
-    np.multiply(t, logs, out=t)
-    if spec.m % 2:
-        np.negative(t, out=t)
+    masked = not t.min() >= SURFACE_CUTOFF
+    if logs is None:
+        blocks = [t]
+    else:
+        step = max(1, logs.size // t.shape[-1])
+        blocks = [t[lo : lo + step] for lo in range(0, len(t), step)]
+    for s in blocks:
+        near = s < SURFACE_CUTOFF if masked else None
         if near is not None:
-            np.copyto(t, 0.0, where=near)  # -(1 log 1) is -0.0; even m already has +0.0
+            np.copyto(s, 1.0, where=near)
+        log = np.log(s, out=None if logs is None else logs[: s.size].reshape(s.shape))
+        if spec.m > 2:
+            np.power(s, spec.m - 1, out=s)
+        np.multiply(s, log, out=s)
+        if spec.m % 2:
+            np.negative(s, out=s)
+            if near is not None:
+                np.copyto(s, 0.0, where=near)  # -(1 log 1) is -0.0; even m already has +0.0
     return t
 
 
@@ -85,16 +94,25 @@ def eval_kernel(spec, a, b):
 
 
 # Side of the square blocks that KernelMatvec and kernel_sum work in. A tile
-# and its logarithm temporary take 2 x 512 KiB, which stays in cache while
-# the transform runs; larger row blocks are bound by memory bandwidth.
+# and its logarithm buffer take 2 x 512 KiB, which stays in cache while the
+# transform runs; larger row blocks are bound by memory bandwidth.
 KERNEL_TILE = 256
+
+# Most stripes a symmetric product is split into. Stripe s owns the row blocks
+# a = s (mod stripes) and has its own accumulator of the product's shape, so
+# the stripes can run on the worker threads, and their fixed number makes the
+# product the same for every worker count.
+KERNEL_STRIPES = 8
 
 # Largest N for which KernelMatvec keeps the kernel matrix instead of
 # recomputing it tile by tile inside every product. Only its upper-triangle
-# tiles are kept, 4 N (N + 256) bytes: measured peaks 0.547 x 8 N^2 at
-# N = 3000, 431 MB at 10242 and 589 MB at 12000. Beyond the limit the matrix
-# never exists in full.
+# tiles are kept, in one allocation of 4 N (N + 256) bytes: measured peaks
+# 0.547 x 8 N^2 at N = 3000, 431 MB at 10242 and 589 MB at 12000. Beyond the
+# limit the matrix never exists in full.
 MATERIALIZE_LIMIT = 12_000
+
+# Rows of a matrix symmetrized at a time: the one temporary is a strip of them.
+_SYMMETRIZE_ROWS = 32
 
 
 def _symmetrized(t):
@@ -109,24 +127,48 @@ def _symmetrized(t):
     return s
 
 
-def _tile(spec, pts_i, pts_j=None):
-    """Kernel block between two point blocks; pts_j None is a diagonal block."""
-    if pts_j is None:
-        return _kernel_inplace(spec, _symmetrized(pts_i @ pts_i.T))
-    return _kernel_inplace(spec, pts_i @ pts_j.T)
+def _symmetrize(t, scratch=None):
+    """_symmetrized(t), bitwise, written over t; returns t.
 
-
-def _upper_tiles(spec, points):
-    """(rows, cols, K[rows, cols]) for each KERNEL_TILE tile on and above the diagonal.
-
-    The tiles are computed one at a time, each from its own dot product; the
-    diagonal tiles are exactly symmetric.
+    Takes a strip of rows on and right of the diagonal at a time, with the
+    matching columns below it, so the only temporary is one strip:
+    _SYMMETRIZE_ROWS rows, or as many rows of a matrix as the flat float64
+    buffer scratch holds, written there instead. A strip reads no entry that
+    an earlier strip wrote, so each entry averages the same two values as in
+    _symmetrized. It is slower than _symmetrized on the small stacks of the
+    build, so it serves the kernel tiles only.
     """
-    n = points.shape[0]
-    spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
-    for a, rows in enumerate(spans):
-        for cols in spans[a:]:
-            yield rows, cols, _tile(spec, points[rows], None if rows == cols else points[cols])
+    n = t.shape[-1]
+    step = _SYMMETRIZE_ROWS if scratch is None else max(1, scratch.size // n)
+    for lo in range(0, n, step):
+        upper = t[..., lo : lo + step, lo:]
+        s = np.add(
+            upper,
+            np.swapaxes(t[..., lo:, lo : lo + step], -1, -2),
+            out=None if scratch is None else scratch[: upper.size].reshape(upper.shape),
+        )
+        s *= 0.5
+        upper[...] = s
+        t[..., lo + step :, lo : lo + step] = np.swapaxes(s[..., step:], -1, -2)
+    return t
+
+
+def _tile(spec, pts_i, pts_j=None, out=None, logs=None):
+    """Kernel block between two point blocks; pts_j None is a diagonal block.
+
+    The dot products go into out and the logarithm, and a diagonal block's
+    symmetrization, into logs when they are given; the values are the same
+    either way.
+    """
+    if pts_j is None:
+        return _kernel_inplace(spec, _symmetrize(np.matmul(pts_i, pts_i.T, out=out), logs), logs)
+    return _kernel_inplace(spec, np.matmul(pts_i, pts_j.T, out=out), logs)
+
+
+def _block(buf, rows, cols):
+    """The leading entries of a flat buffer, viewed as a C-contiguous rows x cols block."""
+    r, c = rows.stop - rows.start, cols.stop - cols.start
+    return buf[: r * c].reshape(r, c)
 
 
 def _checked_weights(weights, n_sources):
@@ -140,27 +182,81 @@ class KernelMatvec:
     """v -> K v for the symmetric kernel matrix of points, v of shape (N,) or (N, q).
 
     Only the upper-triangle tiles are evaluated, each applied as K_ij and
-    K_ij^T, which halves the logarithms. Up to `materialize_limit` points,
-    `matrix` is the list of those tiles, kept from the constructor on; above
-    it `matrix` is None and every product recomputes the tiles, one in memory
-    at a time. Both run the same loop, so they give bitwise the same result.
-    A one-off product is KernelMatvec(spec, points, materialize_limit=0)(v).
+    K_ij^T, which halves the logarithms. The row blocks are dealt to
+    min(KERNEL_STRIPES, blocks) stripes, which run on solver.on_workers, each
+    into its own accumulator; the accumulators are added in stripe order, so
+    a product is bitwise the same for every worker count. Up to
+    `materialize_limit` points, `matrix` holds each stripe's tiles, all views
+    of one allocation filled by the constructor; above it `matrix` is None and
+    every product recomputes the tiles, each stripe into one reused buffer.
+    Both run the same loop, so they give bitwise the same result. A one-off
+    product is KernelMatvec(spec, points, materialize_limit=0)(v).
     """
 
     def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
         self.spec = spec
         self.points = np.asarray(points, dtype=np.float64)
         n = self.points.shape[0]
-        self.matrix = list(_upper_tiles(spec, self.points)) if n <= materialize_limit else None
+        self._spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
+        self._stripes = min(KERNEL_STRIPES, len(self._spans))
+        self.matrix = None
+        if n <= materialize_limit:
+            # the tiles in row-block order, each a contiguous view of one allocation
+            flat = np.empty(sum((rows.stop - rows.start) * (n - rows.start) for rows in self._spans))
+            self.matrix = [[] for _ in range(self._stripes)]
+            at = 0
+            for a, rows in enumerate(self._spans):
+                for cols in self._spans[a:]:
+                    tile = _block(flat[at:], rows, cols)
+                    self.matrix[a % self._stripes].append((rows, cols, tile))
+                    at += tile.size
+
+            def fill(stripe):
+                for _ in self._tiles(stripe, self.matrix[stripe]):
+                    pass
+
+            on_workers(fill, range(self._stripes))
+
+    def _tiles(self, stripe, into=None):
+        """(rows, cols, K[rows, cols]) for each upper tile of a stripe, computed one at a time.
+
+        Each tile is computed into its array of `into`, a list like one
+        stripe's `matrix`, or without it into one buffer that every tile of
+        the stripe reuses, valid until the next tile.
+        """
+        if into is None:
+            spans = self._spans
+            dots = np.empty(KERNEL_TILE * KERNEL_TILE)
+            logs = np.empty(KERNEL_TILE * KERNEL_TILE)
+            into = (
+                (spans[a], cols, _block(dots, spans[a], cols))
+                for a in range(stripe, len(spans), self._stripes)
+                for cols in spans[a:]
+            )
+        else:
+            # at most KERNEL_STRIPES stripes fill the cache at once, so their
+            # logarithm buffers add up to one tile
+            logs = np.empty(KERNEL_TILE * KERNEL_TILE // KERNEL_STRIPES)
+        pts = self.points
+        for rows, cols, k in into:
+            yield rows, cols, _tile(self.spec, pts[rows], None if rows == cols else pts[cols], k, logs)
 
     def __call__(self, v):
         w = _checked_weights(v, self.points.shape[0])
+        parts = np.zeros((self._stripes,) + w.shape)
+
+        def apply(stripe):
+            acc = parts[stripe]
+            tiles = self._tiles(stripe) if self.matrix is None else self.matrix[stripe]
+            for rows, cols, k in tiles:
+                acc[rows] += k @ w[cols]
+                if rows != cols:
+                    acc[cols] += k.T @ w[rows]
+
+        on_workers(apply, range(self._stripes))
         out = np.zeros(w.shape)
-        tiles = self.matrix if self.matrix is not None else _upper_tiles(self.spec, self.points)
-        for rows, cols, k in tiles:
-            out[rows] += k @ w[cols]
-            if rows != cols:
-                out[cols] += k.T @ w[rows]
+        for part in parts:  # in stripe order
+            out += part
         return out
 
 

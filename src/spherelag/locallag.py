@@ -12,6 +12,7 @@ essentially independent of N.
 from __future__ import annotations
 
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass
 
@@ -74,8 +75,10 @@ class FootprintRule:
             raise ValueError(f"unknown footprint mode {self.mode!r}")
         if self.mode == "radius" and self.M is None:
             raise ValueError("radius mode needs M")
-        if self.M is not None and not 0.0 < self.M < math.inf:
-            raise ValueError(f"footprint M must be finite and positive, got {self.M}")
+        if self.M is not None:
+            if isinstance(self.M, bool) or not isinstance(self.M, numbers.Real) or not 0.0 < self.M < math.inf:
+                raise ValueError(f"footprint M must be finite and positive, got {self.M!r}")
+            object.__setattr__(self, "M", float(self.M))
         if self.fixed_n is not None:
             if self.M is not None:
                 raise ValueError("a footprint rule takes M or fixed_n, not both")

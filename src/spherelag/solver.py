@@ -115,13 +115,16 @@ def one_blas_thread():
 
 
 def on_workers(task, items):
-    """task(item) for every item, on this thread and WORKERS - 1 helper threads.
+    """task(item) for every item, on this thread and at most WORKERS - 1 helper threads.
 
     Runs inside one_blas_thread(), and on this thread alone if no OpenBLAS was
-    found. Each thread takes one item at a time from one shared iterator. The
-    first error stops every thread after its current item and is raised here;
-    every helper has ended when this returns or raises.
+    found. No more helpers start than there are items besides the one this
+    thread takes, so a single item starts none. Each thread takes one item at
+    a time from one shared iterator. The first error stops every thread after
+    its current item and is raised here; every helper has ended when this
+    returns or raises.
     """
+    items = list(items)
     todo = iter(items)
     lock = threading.Lock()
     errors = []
@@ -138,8 +141,8 @@ def on_workers(task, items):
             errors.append(exc)
 
     with one_blas_thread() as found:
-        workers = WORKERS if found else 1
-        helpers = [threading.Thread(target=drain, daemon=True) for _ in range(workers - 1)]
+        count = min(WORKERS if found else 1, len(items)) - 1
+        helpers = [threading.Thread(target=drain, daemon=True) for _ in range(count)]
         for thread in helpers:
             thread.start()
         try:

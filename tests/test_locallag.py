@@ -93,6 +93,12 @@ def test_footprint_rule_validation():
         ({"fixed_n": 2.5}, "fixed_n must be an integer"),
         ({"fixed_n": 40.0}, "fixed_n must be an integer"),
         ({"fixed_n": True}, "fixed_n must be an integer"),
+        ({"M": True}, "M must be finite and positive"),
+        ({"mode": "radius", "M": True}, "M must be finite and positive"),
+        ({"M": np.bool_(True)}, "M must be finite and positive"),
+        ({"M": "4"}, "M must be finite and positive"),
+        ({"mode": "radius", "M": "4"}, "M must be finite and positive"),
+        ({"M": 2 + 0j}, "M must be finite and positive"),
     ],
 )
 def test_footprint_rule_rejects_bad_sizes(kwargs, match):
@@ -106,6 +112,8 @@ def test_footprint_rule_count_modes():
     numpy_n = FootprintRule(fixed_n=np.int64(30))
     assert type(numpy_n.fixed_n) is int and numpy_n == FootprintRule(fixed_n=30)
     assert FootprintRule(M=11.0).stencil_count(400, 2) == round(11.0 * np.log(400.0) ** 2)
+    for M in (11, np.float64(11.0), np.int64(11)):
+        assert type(FootprintRule(M=M).M) is float and FootprintRule(M=M) == FootprintRule(M=11.0)
     assert FootprintRule(M=1e-6).stencil_count(400, 3) == 10  # m^2 + 1 floor
 
 
@@ -470,6 +478,23 @@ def test_cached_and_matrix_free_matvecs_are_bitwise_equal(n):
         assert np.array_equal(cached(v), free(v))
     with pytest.raises(ValueError, match="weights"):
         cached(np.ones(n + 1))
+
+
+@pytest.mark.parametrize("q", [None, 1, 3])
+@pytest.mark.parametrize("n", [200, 700, 2100])
+def test_kernel_matvec_is_bitwise_the_same_for_any_worker_count(monkeypatch, n, q):
+    # one row block, fewer blocks than stripes, more blocks than stripes
+    pts = fib(n).points
+    v = rng(n).normal(size=(n,) if q is None else (n, q))
+    products = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        for limit in (n, 0):
+            kmv = KernelMatvec(spec(2), pts, materialize_limit=limit)
+            assert (kmv.matrix is None) == (limit == 0)
+            products += [kmv(v), kmv(v)]
+    assert products[0].shape == v.shape
+    assert all(np.array_equal(products[0], p) for p in products[1:])
 
 
 def test_preconditioned_solve_is_bitwise_the_same_materialized_or_not():

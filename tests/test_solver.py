@@ -144,6 +144,29 @@ def test_on_workers_runs_each_item_once(monkeypatch):
     assert sorted(done) == [0, 1, 2]
 
 
+def test_on_workers_starts_no_idle_threads(monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(solver.threading, "Thread", Counted)
+    monkeypatch.setattr(solver, "WORKERS", 4)
+    pooled = bool(solver._openblas_thread_controls())
+    for n_items, helpers in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (10, 3)]:
+        started.clear()
+        done = []
+        on_workers(done.append, range(n_items))
+        assert sorted(done) == list(range(n_items))
+        assert len(started) == (helpers if pooled else 0)
+    # a product of one row block is one stripe, run on the calling thread alone
+    started.clear()
+    sl.KernelMatvec(sl.KernelSpec(2), sl.gen_fibonacci(200).points, materialize_limit=0)(np.ones(200))
+    assert started == []
+
+
 def test_on_workers_stops_and_reraises_the_first_error(monkeypatch):
     monkeypatch.setattr(solver, "WORKERS", 4)
     before, threads_before = blas_thread_counts(), threading.active_count()
