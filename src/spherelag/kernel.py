@@ -107,12 +107,9 @@ KERNEL_STRIPES = 8
 # Largest N for which KernelMatvec keeps the kernel matrix instead of
 # recomputing it tile by tile inside every product. Only its upper-triangle
 # tiles are kept, in one allocation of 4 N (N + 256) bytes: measured peaks
-# 0.547 x 8 N^2 at N = 3000, 431 MB at 10242 and 589 MB at 12000. Beyond the
+# 0.546 x 8 N^2 at N = 3000, 431 MB at 10242 and 589 MB at 12000. Beyond the
 # limit the matrix never exists in full.
 MATERIALIZE_LIMIT = 12_000
-
-# Rows of a matrix symmetrized at a time: the one temporary is a strip of them.
-_SYMMETRIZE_ROWS = 32
 
 
 def _symmetrized(t):
@@ -131,15 +128,15 @@ def _symmetrize(t, scratch=None):
     """_symmetrized(t), bitwise, written over t; returns t.
 
     Takes a strip of rows on and right of the diagonal at a time, with the
-    matching columns below it, so the only temporary is one strip:
-    _SYMMETRIZE_ROWS rows, or as many rows of a matrix as the flat float64
-    buffer scratch holds, written there instead. A strip reads no entry that
-    an earlier strip wrote, so each entry averages the same two values as in
-    _symmetrized. It is slower than _symmetrized on the small stacks of the
-    build, so it serves the kernel tiles only.
+    matching columns below it. The strip is formed in scratch, a flat
+    float64 buffer, as many rows as it holds; without scratch the whole
+    matrix is one strip, in a temporary of its size. A strip reads no entry
+    that an earlier strip wrote, so each entry averages the same two values
+    as in _symmetrized. It is slower than _symmetrized on the small stacks of
+    the build, so it serves the kernel tiles only.
     """
     n = t.shape[-1]
-    step = _SYMMETRIZE_ROWS if scratch is None else max(1, scratch.size // n)
+    step = n if scratch is None else max(1, scratch.size // n)
     for lo in range(0, n, step):
         upper = t[..., lo : lo + step, lo:]
         s = np.add(
@@ -202,7 +199,7 @@ class KernelMatvec:
         self.matrix = None
         if n <= materialize_limit:
             # the tiles in row-block order, each a contiguous view of one allocation
-            flat = np.empty(sum((rows.stop - rows.start) * (n - rows.start) for rows in self._spans))
+            flat = np.empty(sum((r.stop - r.start) * (n - r.start) for r in self._spans))
             self.matrix = [[] for _ in range(self._stripes)]
             at = 0
             for a, rows in enumerate(self._spans):
@@ -239,7 +236,8 @@ class KernelMatvec:
             logs = np.empty(KERNEL_TILE * KERNEL_TILE // KERNEL_STRIPES)
         pts = self.points
         for rows, cols, k in into:
-            yield rows, cols, _tile(self.spec, pts[rows], None if rows == cols else pts[cols], k, logs)
+            pts_j = None if rows == cols else pts[cols]
+            yield rows, cols, _tile(self.spec, pts[rows], pts_j, k, logs)
 
     def __call__(self, v):
         w = _checked_weights(v, self.points.shape[0])

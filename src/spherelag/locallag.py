@@ -76,7 +76,8 @@ class FootprintRule:
         if self.mode == "radius" and self.M is None:
             raise ValueError("radius mode needs M")
         if self.M is not None:
-            if isinstance(self.M, bool) or not isinstance(self.M, numbers.Real) or not 0.0 < self.M < math.inf:
+            real = isinstance(self.M, numbers.Real) and not isinstance(self.M, bool)
+            if not (real and 0.0 < self.M < math.inf):
                 raise ValueError(f"footprint M must be finite and positive, got {self.M!r}")
             object.__setattr__(self, "M", float(self.M))
         if self.fixed_n is not None:

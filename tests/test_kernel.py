@@ -259,8 +259,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_matrix_free_matvec_reuses_its_tile_buffers_in_a_fresh_process():
-    # a fresh heap maps and faults in every fresh 512 KiB tile temporary:
-    # about 9,100 minor faults per product at N = 3000 with one per tile
+    # on a fresh heap every new 512 KiB tile temporary is mapped and faulted
+    # in: about 9,100 minor faults per product at N = 3000 with new ones per tile
     pytest.importorskip("resource")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run(

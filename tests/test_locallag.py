@@ -483,16 +483,23 @@ def test_cached_and_matrix_free_matvecs_are_bitwise_equal(n):
 @pytest.mark.parametrize("q", [None, 1, 3])
 @pytest.mark.parametrize("n", [200, 700, 2100])
 def test_kernel_matvec_is_bitwise_the_same_for_any_worker_count(monkeypatch, n, q):
-    # one row block, fewer blocks than stripes, more blocks than stripes
+    # one row block, fewer blocks than stripes, more blocks than stripes;
+    # 3 workers is more than the cores of a 2-core box, and a short switch
+    # interval interleaves the stripes as much as the interpreter allows
     pts = fib(n).points
     v = rng(n).normal(size=(n,) if q is None else (n, q))
     products = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(solver, "WORKERS", workers)
-        for limit in (n, 0):
-            kmv = KernelMatvec(spec(2), pts, materialize_limit=limit)
-            assert (kmv.matrix is None) == (limit == 0)
-            products += [kmv(v), kmv(v)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "WORKERS", workers)
+            for limit in (n, 0):
+                kmv = KernelMatvec(spec(2), pts, materialize_limit=limit)
+                assert (kmv.matrix is None) == (limit == 0)
+                products += [kmv(v), kmv(v)]
+    finally:
+        sys.setswitchinterval(interval)
     assert products[0].shape == v.shape
     assert all(np.array_equal(products[0], p) for p in products[1:])
 
