@@ -278,9 +278,11 @@ def cmd_study_decay(args, config):
     extra = [
         f"center_idx={study.center_idx} h={study.h!r} q={study.q!r}",
         f"nu_function={study.fit_function.nu!r} C_function={study.fit_function.C!r} "
-        f"window={study.fit_function.window}",
+        f"window={study.fit_function.window} r2_function={study.fit_function.r2!r} "
+        f"n_used_function={study.fit_function.n_used}",
         f"nu_coefficient={study.fit_coefficient.nu!r} C_coefficient={study.fit_coefficient.C!r} "
-        f"window={study.fit_coefficient.window}",
+        f"window={study.fit_coefficient.window} r2_coefficient={study.fit_coefficient.r2!r} "
+        f"n_used_coefficient={study.fit_coefficient.n_used}",
         f"plateau_fraction_function={study.plateau_fraction_function!r}",
         f"plateau_fraction_coefficient={study.plateau_fraction_coefficient!r}",
         f"iterations={study.iterations} final_check={study.final_check!r}",

@@ -22,6 +22,11 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 MAX_GENERATED = 1_000_000
 
 
+def is_integer(value):
+    """True for Python and numpy integers; a bool is not an integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class NodeFileError(ValueError):
     """Malformed node file (bad token count, unparsable or non-finite number, zero row)."""
 
@@ -157,9 +162,8 @@ def gen_icosahedral(level):
     Vertex order is deterministic: the 12 base vertices first, then midpoints in
     face-traversal order at each refinement level.
     """
-    level = int(level)
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if not is_integer(level) or level < 0:
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
     n_final = 10 * 4**level + 2
     if n_final > MAX_GENERATED:
         raise ValueError(
@@ -197,9 +201,8 @@ def gen_icosahedral_freq(nu):
     base vertices, then edge points (edges in first-occurrence order, points from
     the lower-index endpoint), then face interiors in face order.
     """
-    nu = int(nu)
-    if nu < 1:
-        raise ValueError("subdivision frequency must be >= 1")
+    if not is_integer(nu) or nu < 1:
+        raise ValueError(f"subdivision frequency must be an integer >= 1, got {nu!r}")
     n_final = 10 * nu**2 + 2
     if n_final > MAX_GENERATED:
         raise ValueError(
@@ -235,9 +238,8 @@ def gen_icosahedral_freq(nu):
 
 def gen_fibonacci(n):
     """Spherical Fibonacci lattice with n nodes (quasi-uniform, mesh ratio < 3)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > MAX_GENERATED:
         raise ValueError(f"n = {n} beyond the cap {MAX_GENERATED}")
     i = np.arange(n, dtype=np.float64)
@@ -274,9 +276,8 @@ def probe_sequence(n):
     first k points are the same for every n >= k, any max-over-probes estimate
     is monotone non-decreasing in n.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return _probe_points(0, n)
 
 
@@ -320,9 +321,8 @@ def mesh_stats(nodes, probe_n=None):
     n = pts.shape[0]
     if probe_n is None:
         probe_n = max(100 * n, 100_000)
-    probe_n = int(probe_n)
-    if probe_n < n:
-        raise ValueError(f"probe_n = {probe_n} is below the set size {n}")
+    if not is_integer(probe_n) or probe_n < n:
+        raise ValueError(f"probe_n must be an integer >= the set size {n}, got {probe_n!r}")
 
     tree = cKDTree(pts, leafsize=16, balanced_tree=True)
     if n == 1:

@@ -13,15 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geom import is_integer
 from .solver import SaddleSystem, on_workers
 
 # 1 - x.a below this is treated as a coincident pair; the kernel limit is 0.
 SURFACE_CUTOFF = 1e-14
-
-
-def is_integer(value):
-    """True for Python and numpy integers; a bool is not an integer here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,14 @@ def kernel_values(spec, t):
 
 
 def eval_kernel(spec, a, b):
-    """k_m(a, b) for unit vectors, broadcasting over leading axes."""
+    """k_m(a, b) for unit vectors, broadcasting over leading axes.
+
+    The fresh dot products are transformed in place, so the peak is about 2.1
+    times the result: the result, the logarithm and the near-pair mask.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return kernel_values(spec, np.einsum("...i,...i->...", a, b))
+    return _kernel_inplace(spec, np.asarray(np.einsum("...i,...i->...", a, b)))
 
 
 # Side of the square blocks that KernelMatvec and kernel_sum work in. A tile
@@ -112,53 +112,14 @@ KERNEL_STRIPES = 8
 MATERIALIZE_LIMIT = 12_000
 
 
-def _symmetrized(t):
-    """0.5 (t + t^T) of a matrix, or of each matrix of a stack, as a new array.
+def _tile(spec, pts_i, pts_j, out=None, logs=None):
+    """Kernel block between two point blocks, the dot products formed in out if given.
 
-    Forces bitwise symmetry before the nonlinearity. Adding into a fresh array
-    avoids the transposed temporary numpy makes when t is both an operand and
-    the output.
+    When pts_j is pts_i, or a view of the same rows, numpy forms the product
+    as a symmetric rank-k update (BLAS syrk) and copies its upper triangle to
+    the lower one, so the block is bitwise symmetric. The logarithm goes into
+    logs when it is given; the values are the same either way.
     """
-    s = np.add(t, np.swapaxes(t, -1, -2))
-    s *= 0.5
-    return s
-
-
-def _symmetrize(t, scratch=None):
-    """_symmetrized(t), bitwise, written over t; returns t.
-
-    Takes a strip of rows on and right of the diagonal at a time, with the
-    matching columns below it. The strip is formed in scratch, a flat
-    float64 buffer, as many rows as it holds; without scratch the whole
-    matrix is one strip, in a temporary of its size. A strip reads no entry
-    that an earlier strip wrote, so each entry averages the same two values
-    as in _symmetrized. It is slower than _symmetrized on the small stacks of
-    the build, so it serves the kernel tiles only.
-    """
-    n = t.shape[-1]
-    step = n if scratch is None else max(1, scratch.size // n)
-    for lo in range(0, n, step):
-        upper = t[..., lo : lo + step, lo:]
-        s = np.add(
-            upper,
-            np.swapaxes(t[..., lo:, lo : lo + step], -1, -2),
-            out=None if scratch is None else scratch[: upper.size].reshape(upper.shape),
-        )
-        s *= 0.5
-        upper[...] = s
-        t[..., lo + step :, lo : lo + step] = np.swapaxes(s[..., step:], -1, -2)
-    return t
-
-
-def _tile(spec, pts_i, pts_j=None, out=None, logs=None):
-    """Kernel block between two point blocks; pts_j None is a diagonal block.
-
-    The dot products go into out and the logarithm, and a diagonal block's
-    symmetrization, into logs when they are given; the values are the same
-    either way.
-    """
-    if pts_j is None:
-        return _kernel_inplace(spec, _symmetrize(np.matmul(pts_i, pts_i.T, out=out), logs), logs)
     return _kernel_inplace(spec, np.matmul(pts_i, pts_j.T, out=out), logs)
 
 
@@ -179,7 +140,9 @@ class KernelMatvec:
     """v -> K v for the symmetric kernel matrix of points, v of shape (N,) or (N, q).
 
     Only the upper-triangle tiles are evaluated, each applied as K_ij and
-    K_ij^T, which halves the logarithms. The row blocks are dealt to
+    K_ij^T, which halves the logarithms. A diagonal tile is a block of
+    points times its own transpose, which numpy forms by syrk (see _tile), so
+    the operator is bitwise symmetric. The row blocks are dealt to
     min(KERNEL_STRIPES, blocks) stripes, which run on solver.on_workers, each
     into its own accumulator; the accumulators are added in stripe order, so
     a product is bitwise the same for every worker count. Up to
@@ -236,8 +199,7 @@ class KernelMatvec:
             logs = np.empty(KERNEL_TILE * KERNEL_TILE // KERNEL_STRIPES)
         pts = self.points
         for rows, cols, k in into:
-            pts_j = None if rows == cols else pts[cols]
-            yield rows, cols, _tile(self.spec, pts[rows], pts_j, k, logs)
+            yield rows, cols, _tile(self.spec, pts[rows], pts[cols], k, logs)
 
     def __call__(self, v):
         w = _checked_weights(v, self.points.shape[0])
@@ -259,13 +221,13 @@ class KernelMatvec:
 
 
 def kernel_matrix(spec, pts_a, pts_b=None):
-    """Dense kernel block k_m(pts_a[i], pts_b[j]); exactly symmetric when pts_b is None.
+    """Dense kernel block k_m(pts_a[i], pts_b[j]); bitwise symmetric when pts_b is None.
 
     The reference the tests check the tiled routes against: one product and
     one kernel transform, 2.125 x 8 N^2 bytes at peak for N points.
     """
-    pts_b = None if pts_b is None else np.asarray(pts_b, dtype=np.float64)
-    return _tile(spec, np.asarray(pts_a, dtype=np.float64), pts_b)
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    return _tile(spec, pts_a, pts_a if pts_b is None else np.asarray(pts_b, dtype=np.float64))
 
 
 def kernel_sum(spec, targets, sources, weights):
@@ -305,8 +267,8 @@ class HarmonicBasis:
     degree_max: int
 
     def __post_init__(self):
-        if self.degree_max < 0:
-            raise ValueError("degree_max must be >= 0")
+        if not is_integer(self.degree_max) or self.degree_max < 0:
+            raise ValueError(f"degree_max must be an integer >= 0, got {self.degree_max!r}")
 
     @property
     def n_funcs(self):
@@ -385,15 +347,17 @@ def assemble_saddle(spec, nodes, subset=None):
 def assemble_saddle_stack(spec, points, phi, stencils):
     """Bordered matrices of a (b, n) stack of stencils into points, shape (b, n+p, n+p).
 
-    phi holds the harmonic values at every point. One batched product, one
-    symmetrization and one kernel transform serve the whole stack. The peak
-    memory is about 2.12 x 8 (n+p)^2 bytes per stencil: the matrices, the
-    kernel block and its logarithm, and the near-diagonal mask.
+    phi holds the harmonic values at every point. One batched product and
+    one kernel transform serve the whole stack. numpy forms each matrix of
+    P @ P^T as a symmetric rank-k update (BLAS syrk) and copies its upper
+    triangle to the lower one, so every kernel block is bitwise symmetric.
+    The peak memory is about 2.12 x 8 (n+p)^2 bytes per stencil: the
+    matrices, the kernel block and its logarithm, and the near-diagonal mask.
     """
     b, n = stencils.shape
     p = phi.shape[1]
     P = points[stencils]
-    K = _kernel_inplace(spec, _symmetrized(P @ np.swapaxes(P, 1, 2)))
+    K = _kernel_inplace(spec, P @ np.swapaxes(P, 1, 2))
     Ph = phi[stencils]
     M = np.zeros((b, n + p, n + p))
     M[:, :n, :n] = K

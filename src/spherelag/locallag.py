@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .geom import NodeSet, ensure_stats
+from .geom import NodeSet, ensure_stats, is_integer
 from .kernel import (
     KERNEL_TILE,
     MATERIALIZE_LIMIT,
@@ -28,7 +28,6 @@ from .kernel import (
     assemble_saddle_stack,
     evaluate_expansion,
     harmonic_basis_for,
-    is_integer,
 )
 from .solver import bordered_solve, gmres, on_workers, spmv, validated_csc
 from .neighbors import ball, build_index, knn, knn_all

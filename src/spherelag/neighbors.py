@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import solver
-from .geom import NodeSet, geodesic_distance
+from .geom import NodeSet, geodesic_distance, is_integer
 
 LEAF_SIZE = 16
 
@@ -42,9 +42,8 @@ def _nearest(index, centres, k):
     per centre; they are re-ranked in blocks of about _RERANK_BLOCK candidates.
     """
     n = index.n
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    if not is_integer(k) or not 1 <= k <= n:
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     pts = index.data
     kq = min(n, k + _TIE_PAD)
     _, cand = index.query(pts[centres], k=kq, workers=solver.WORKERS)

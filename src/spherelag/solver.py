@@ -14,6 +14,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from .geom import is_integer
+
 PIVOT_RTOL = 1e-14
 
 # Threads the stencil solves of a local basis build and the bulk k-nearest
@@ -177,12 +179,14 @@ def bordered_solve(stack, rhs):
 
     Each stack[k].T is a Fortran-ordered M, which LAPACK getrf factors in
     place, so stack holds the LU factors afterwards; getrs then solves for the
-    rhs, of length n or shape (n, r), that the stack shares. A symmetric M is
-    its own transpose. pivot_ratio is min |U_ii| / scale, where scale is the
-    inf-norm of stack[k] taken before it is factored (the 1-norm of M), and a
-    system is singular when min |U_ii| <= PIVOT_RTOL * scale; its x is then
-    undefined. The solves run inside one_blas_thread(): on one thread each x
-    is bitwise that of dgesv, which makes the same two calls.
+    rhs, of length n or shape (n, r), that the stack shares. The bordered
+    matrices of kernel.assemble_saddle_stack are bitwise symmetric, as numpy
+    forms their kernel blocks by syrk, so there stack[k] is M itself.
+    pivot_ratio is min |U_ii| / scale, where scale is the inf-norm of
+    stack[k] taken before it is factored (the 1-norm of M), and a system is
+    singular when min |U_ii| <= PIVOT_RTOL * scale; its x is then undefined.
+    The solves run inside one_blas_thread(): on one thread each x is bitwise
+    that of dgesv, which makes the same two calls.
     """
     x = np.empty((len(stack), *np.shape(rhs)))
     scales = np.empty(len(stack))
@@ -276,7 +280,8 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     that grow by one entry per iteration, so memory follows the iterations
     taken, not maxit.
     """
-    maxit = int(maxit)
+    if not is_integer(maxit):
+        raise ValueError(f"maxit must be an integer, got {maxit!r}")
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
     if not 0.0 < tol < np.inf:

@@ -1,5 +1,7 @@
 """End-to-end command-line runs: every command writes traceable CSV output."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -519,8 +521,13 @@ def test_study_decay(node_file, tmp_path):
     text = out.read_text()
     assert "nu_function=" in text
     assert "# iterations=" in text and " final_check=" in text
-    kinds = {ln.split(",")[0] for ln in body_lines(text)[1:]}
-    assert kinds == {"function", "coefficient"}
+    kinds = [ln.split(",")[0] for ln in body_lines(text)[1:]]
+    assert set(kinds) == {"function", "coefficient"}
+    # each fit reports how good it was and how many samples its window kept
+    fields = dict(re.findall(r"(\w+)=(\S+)", "\n".join(comment_lines(text))))
+    for kind in ("function", "coefficient"):
+        assert 0.9 < float(fields[f"r2_{kind}"]) <= 1.0
+        assert 10 <= int(fields[f"n_used_{kind}"]) <= kinds.count(kind)
 
 
 @pytest.mark.parametrize("center_idx", ["99999", "-1"])

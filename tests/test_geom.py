@@ -106,6 +106,11 @@ def test_fibonacci_structure():
         lambda: sl.gen_fibonacci(0),
         lambda: sl.gen_icosahedral(20),  # beyond the generation cap
         lambda: sl.gen_fibonacci(2_000_000),
+        # counts that are not integers
+        lambda: sl.gen_fibonacci(100.7),
+        lambda: sl.gen_icosahedral(True),
+        lambda: sl.gen_icosahedral_freq(2.9),
+        lambda: sl.probe_sequence(2.5),
     ],
 )
 def test_generator_rejects_bad_sizes(call):
@@ -294,6 +299,9 @@ def test_node_set_constructor_takes_no_stats():
 def test_mesh_stats_rejects_tiny_probe_budget():
     with pytest.raises(ValueError):
         mesh_stats(fib(300), probe_n=100)
+    for bad in (30_000.5, 30_000.0, True):
+        with pytest.raises(ValueError, match="probe_n must be an integer"):
+            mesh_stats(fib(300), probe_n=bad)
 
 
 # ---- file round trip ---- #

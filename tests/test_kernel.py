@@ -12,10 +12,10 @@ from scipy.special import eval_legendre
 
 import spherelag as sl
 from spherelag.kernel import (
+    KERNEL_TILE,
     HarmonicBasis,
-    _symmetrize,
-    _symmetrized,
     assemble_saddle,
+    assemble_saddle_stack,
     eval_kernel,
     evaluate_expansion,
     harmonic_basis_for,
@@ -23,9 +23,10 @@ from spherelag.kernel import (
     kernel_sum,
     kernel_values,
 )
+from spherelag.neighbors import build_index, knn_all
 from spherelag.solver import factor_solve
 
-from helpers import fib, random_unit_points, rng, spec, traced_peak
+from helpers import fib, ico, random_unit_points, rng, spec, traced_peak
 
 TWO_LOG_TWO = 1.3862943611198906
 
@@ -138,6 +139,23 @@ def test_eval_kernel_symmetric_and_consistent():
     assert np.allclose(k_ab, kernel_values(spec(2), t), atol=1e-15)
 
 
+def test_eval_kernel_transforms_its_dot_products_in_place():
+    # the (P, N) result, its logarithm and the mask of the coincident pairs
+    # the last 4 targets make: 2.125 x the result, with no copy of the result
+    pts = fib(12962).points
+    x = np.concatenate([sl.probe_sequence(60), pts[:4]])[:, None, :]
+    t = np.einsum("...i,...i->...", x, pts[None])
+    for m in (2, 3):
+        k = eval_kernel(spec(m), x, pts[None])
+        assert np.array_equal(k, kernel_values(spec(m), t))
+        assert traced_peak(lambda: eval_kernel(spec(m), x, pts[None])) <= 2.2 * k.nbytes
+    # two single vectors give a 0-d array, as kernel_values does
+    for a, b in ((pts[0], pts[5]), (pts[0], pts[0])):
+        want = kernel_values(spec(2), np.einsum("i,i", a, b))
+        got = eval_kernel(spec(2), a, b)
+        assert got.shape == () and np.array_equal(got, want)
+
+
 def test_kernel_matrix_bitwise_symmetric_zero_diagonal():
     pts = random_unit_points(80, seed=3)
     K = kernel_matrix(spec(2), pts)
@@ -220,22 +238,34 @@ def test_cached_operator_memory_is_its_upper_tiles():
     assert traced_peak(lambda: sl.KernelMatvec(spec(2), pts)) <= 0.55 * 8 * n * n
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (256, 256), (300, 300), (4, 119, 119), (3, 1, 1)])
-def test_symmetrized_matches_the_reference_formula(shape):
-    p = rng(len(shape)).normal(size=shape[:-1] + (3,))
-    t = p @ np.swapaxes(p, -1, -2) + 1e-3 * rng(1).normal(size=shape)
-    expected = 0.5 * (t + t.swapaxes(-1, -2))
-    s = _symmetrized(t)
-    assert np.array_equal(s, expected)
-    assert np.array_equal(s, s.swapaxes(-1, -2))
-    # a strided view gives the same result
-    big = np.zeros(shape[:-2] + (shape[-2] + 5, shape[-1] + 5))
-    big[..., 2 : 2 + shape[-2], 3 : 3 + shape[-1]] = t
-    window = big[..., 2 : 2 + shape[-2], 3 : 3 + shape[-1]]
-    assert np.array_equal(_symmetrized(window), expected)
-    # the in-place form gives the same bits and moves nothing outside the view
-    assert np.array_equal(_symmetrize(window), expected) and np.array_equal(window, expected)
-    assert np.count_nonzero(big) == expected.size
+# No pass averages a kernel block with its transpose. numpy forms a block of
+# points times its own transpose (one buffer on both sides of matmul) as a
+# symmetric rank-k update, BLAS syrk, and copies the upper triangle to the
+# lower one, so those blocks are bitwise symmetric by construction. kernel_sum
+# copies its sources to stay off that route: syrk rounds differently from the
+# general product of its other tiles, and a cross sum must not depend on
+# whether its targets are its sources.
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [5, 12, 84, 119, 308, 599])
+def test_saddle_stacks_are_bitwise_symmetric(n, m):
+    nodes = fib(900)
+    b = max(1, KERNEL_TILE**2 // n**2)  # the build's chunk of n-point stencils
+    stencils = knn_all(build_index(nodes), n)[np.arange(b) % len(nodes)]
+    phi = harmonic_basis_for(spec(m)).eval(nodes.points)
+    M = assemble_saddle_stack(spec(m), nodes.points, phi, stencils)
+    assert M.shape == (b, n + m * m, n + m * m)
+    assert np.array_equal(M, np.swapaxes(M, 1, 2))
+
+
+@pytest.mark.parametrize("nodes", [ico(3), fib(700)], ids=["642", "700"])
+def test_cached_diagonal_tiles_are_bitwise_symmetric(nodes):
+    # at N = 700 the last row block is a partial tile of 188 points
+    kmv = sl.KernelMatvec(spec(2), nodes.points)
+    diagonal = [k for stripe in kmv.matrix for rows, cols, k in stripe if rows == cols]
+    sizes = [min(KERNEL_TILE, len(nodes) - lo) for lo in range(0, len(nodes), KERNEL_TILE)]
+    assert sorted(len(k) for k in diagonal) == sorted(sizes)
+    for k in diagonal:
+        assert np.array_equal(k, k.T)
 
 
 def test_matrix_free_matvec_memory_is_one_tile():
@@ -292,8 +322,9 @@ def test_basis_size_and_labels():
     assert basis.orders() == [
         (0, 0), (1, 0), (1, 1), (1, -1), (2, 0), (2, 1), (2, -1), (2, 2), (2, -2),
     ]
-    with pytest.raises(ValueError):
-        HarmonicBasis(-1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="degree_max must be an integer >= 0"):
+            HarmonicBasis(bad)
 
 
 def test_orthonormality_under_quadrature():

@@ -51,7 +51,7 @@ def test_knn_all_matches_per_center_queries():
 
 def test_knn_validates_k():
     index = build_index(fib(50))
-    for bad in (0, -3, 51):
+    for bad in (0, -3, 51, 2.5, 3.9, True):
         with pytest.raises(ValueError):
             knn(index, 0, bad)
         with pytest.raises(ValueError):

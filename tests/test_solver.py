@@ -366,7 +366,7 @@ def test_gmres_happy_breakdown_rank_deficient_rhs():
 
 
 def test_gmres_rejects_maxit_below_one():
-    for maxit in (0, -3):
+    for maxit in (0, -3, 1.7, True):
         with pytest.raises(ValueError, match="maxit"):
             gmres(lambda v: v, np.ones(4), maxit=maxit)
 
