@@ -38,7 +38,6 @@ from .solver import (
     factor_solve,
     gmres,
     spmv,
-    sym_eig_minmax,
     validated_csc,
 )
 from .locallag import (

@@ -22,6 +22,7 @@ from . import __version__
 from .diagnostics import ConvergenceRow, convergence_study, decay_study
 from .geom import (
     MAX_GENERATED,
+    checked_int,
     gen_fibonacci,
     gen_icosahedral,
     gen_icosahedral_freq,
@@ -31,7 +32,13 @@ from .geom import (
     save_nodes,
     sphere_point,
 )
-from .gramstudy import CAP_GRAM_ORDER, cap_gram_analytic, cap_gram_compare, min_eig_ratio
+from .gramstudy import (
+    CAP_GRAM_ORDER,
+    cap_gram_analytic,
+    cap_gram_compare,
+    cap_gram_extremes,
+    min_eig_ratio,
+)
 from .kernel import KernelSpec, evaluate_expansion
 from .locallag import (
     FootprintRule,
@@ -43,7 +50,7 @@ from .locallag import (
     save_basis,
     save_coeffs,
 )
-from .solver import GmresNotConvergedError, sym_eig_minmax
+from .solver import GmresNotConvergedError
 
 # Every error of the package is one of these: the node file, duplicate node,
 # too-few-samples, singular and non-unisolvent errors are ValueErrors (the last
@@ -233,7 +240,7 @@ def cmd_eval(args, config):
 def cmd_gram(args, config):
     G = cap_gram_analytic(args.r)
     mu_ratio = min_eig_ratio(args.r)
-    lam_min, lam_max = sym_eig_minmax(G)
+    lam_min, lam_max = cap_gram_extremes(args.r)
     extra = [
         f"r={args.r!r}",
         f"lambda_min={lam_min!r} lambda_max={lam_max!r}",
@@ -461,8 +468,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    config = RunConfig(argv=argv, seed=args.seed)
     try:
+        config = RunConfig(argv=argv, seed=checked_int(args.seed, "--seed", 0))
         return args.func(args, config)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import ensure_stats, geodesic_distance, probe_sequence, tangent_frame
+from .geom import checked_int, ensure_stats, geodesic_distance, probe_sequence, tangent_frame
 from .kernel import evaluate_expansion
-from .locallag import (
-    _checked_centre,
-    build_local_basis,
-    interpolate_preconditioned,
-    quasi_interpolate,
-)
+from .locallag import build_local_basis, interpolate_preconditioned, quasi_interpolate
 from .solver import GmresNotConvergedError
 
 PLATEAU_FLOOR = 1e-10
@@ -71,8 +66,8 @@ def fit_decay(samples, kind, q=None, m=2):
         q_power = 0
         scale = 1.0
     elif kind == "coefficient":
-        if q is None:
-            raise ValueError("coefficient fits need the separation q")
+        if q is None or not 0.0 < q < math.inf:
+            raise ValueError(f"coefficient fits need the separation q, finite and > 0, got {q!r}")
         q_power = 2 - 2 * m
         scale = float(q) ** (2 * m - 2)
     else:
@@ -146,7 +141,7 @@ def decay_study(nodes, spec, center_idx=None):
     n = pts.shape[0]
     if center_idx is None:
         center_idx = int(np.argmax(pts[:, 2]))
-    center_idx = _checked_centre(center_idx, n)
+    center_idx = checked_int(center_idx, "center_idx", 0, n - 1)
     stats = ensure_stats(nodes)
     center = pts[center_idx]
 

@@ -22,9 +22,13 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 MAX_GENERATED = 1_000_000
 
 
-def is_integer(value):
-    """True for Python and numpy integers; a bool is not an integer here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def checked_int(value, name, lo, hi=None):
+    """int(value) for an integer in lo..hi (lo and up if hi is None); a bool is not one."""
+    exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if exact and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 class NodeFileError(ValueError):
@@ -81,6 +85,14 @@ class NodeSet:
         return hashlib.sha256(self.points.tobytes()).hexdigest()
 
 
+def as_points(x):
+    """x as float64, or a NodeSet's points; only the last axis, 3 coordinates, is checked."""
+    pts = x.points if isinstance(x, NodeSet) else np.asarray(x, dtype=np.float64)
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"points must have 3 coordinates on the last axis, got shape {pts.shape}")
+    return pts
+
+
 def normalize_rows(arr):
     """Scale rows of an (N, 3) array onto the unit sphere. Zero rows are an error."""
     arr = np.asarray(arr, dtype=np.float64)
@@ -109,8 +121,7 @@ def geodesic_distance(a, b):
     Uses atan2(|a x b|, a . b), which stays accurate for nearly coincident and
     nearly antipodal pairs where arccos of the dot product loses digits.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = as_points(a), as_points(b)
     cross = np.cross(a, b)
     sin_d = np.linalg.norm(cross, axis=-1)
     cos_d = np.einsum("...i,...i->...", a, b)
@@ -118,11 +129,11 @@ def geodesic_distance(a, b):
 
 
 def cap_area(r):
-    """Area of a spherical cap of geodesic radius r: 2*pi*(1 - cos r)."""
+    """Area of a spherical cap of geodesic radius r: 2 pi (1 - cos r), as 4 pi sin^2(r/2)."""
     r = float(r)
     if not 0.0 <= r <= math.pi:
         raise ValueError(f"cap radius must lie in [0, pi], got {r}")
-    return 2.0 * math.pi * (1.0 - math.cos(r))
+    return 4.0 * math.pi * math.sin(0.5 * r) ** 2
 
 
 def tangent_frame(p):
@@ -162,8 +173,7 @@ def gen_icosahedral(level):
     Vertex order is deterministic: the 12 base vertices first, then midpoints in
     face-traversal order at each refinement level.
     """
-    if not is_integer(level) or level < 0:
-        raise ValueError(f"level must be an integer >= 0, got {level!r}")
+    level = checked_int(level, "level", 0)
     n_final = 10 * 4**level + 2
     if n_final > MAX_GENERATED:
         raise ValueError(
@@ -201,8 +211,7 @@ def gen_icosahedral_freq(nu):
     base vertices, then edge points (edges in first-occurrence order, points from
     the lower-index endpoint), then face interiors in face order.
     """
-    if not is_integer(nu) or nu < 1:
-        raise ValueError(f"subdivision frequency must be an integer >= 1, got {nu!r}")
+    nu = checked_int(nu, "subdivision frequency", 1)
     n_final = 10 * nu**2 + 2
     if n_final > MAX_GENERATED:
         raise ValueError(
@@ -238,8 +247,7 @@ def gen_icosahedral_freq(nu):
 
 def gen_fibonacci(n):
     """Spherical Fibonacci lattice with n nodes (quasi-uniform, mesh ratio < 3)."""
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = checked_int(n, "n", 1)
     if n > MAX_GENERATED:
         raise ValueError(f"n = {n} beyond the cap {MAX_GENERATED}")
     i = np.arange(n, dtype=np.float64)
@@ -276,18 +284,17 @@ def probe_sequence(n):
     first k points are the same for every n >= k, any max-over-probes estimate
     is monotone non-decreasing in n.
     """
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return _probe_points(0, n)
+    return _probe_points(0, checked_int(n, "n", 1))
 
 
 def cap_points(center, r, n):
     """n area-uniform spiral points inside the cap B(center, r)."""
     if not 0.0 < r <= math.pi:
         raise ValueError("cap radius must lie in (0, pi]")
-    center = sphere_point(*np.asarray(center, dtype=np.float64))
+    n = checked_int(n, "n", 1)
+    center = sphere_point(*as_points(center))
     e1, e2 = tangent_frame(center)
-    i = np.arange(int(n), dtype=np.float64)
+    i = np.arange(n, dtype=np.float64)
     z = 1.0 - (1.0 - math.cos(r)) * (i + 0.5) / n
     rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     phi = i * GOLDEN_ANGLE
@@ -321,8 +328,7 @@ def mesh_stats(nodes, probe_n=None):
     n = pts.shape[0]
     if probe_n is None:
         probe_n = max(100 * n, 100_000)
-    if not is_integer(probe_n) or probe_n < n:
-        raise ValueError(f"probe_n must be an integer >= the set size {n}, got {probe_n!r}")
+    probe_n = checked_int(probe_n, "probe_n", n)
 
     tree = cKDTree(pts, leafsize=16, balanced_tree=True)
     if n == 1:

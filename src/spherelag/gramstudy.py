@@ -17,9 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import _chord_to_geodesic, cap_area, cap_points, geodesic_distance, sphere_point
+from .geom import (
+    _chord_to_geodesic,
+    as_points,
+    cap_area,
+    cap_points,
+    geodesic_distance,
+    sphere_point,
+)
 from .kernel import HarmonicBasis
-from .solver import NonUnisolventError, sym_eig_minmax
+from .solver import NonUnisolventError
 
 # Ordering of the 4 basis functions in the analytic Gram.
 CAP_GRAM_ORDER = ((0, 0), (1, 0), (1, 1), (1, -1))
@@ -41,20 +48,33 @@ def cap_gram_analytic(r):
     r = float(r)
     if not 0.0 < r <= math.pi:
         raise ValueError(f"cap radius must lie in (0, pi], got {r}")
-    c = math.cos(r)
+    s, c = 2.0 * math.sin(0.5 * r) ** 2, math.cos(r)  # s = 1 - c without the cancellation
     G = np.zeros((4, 4))
-    G[0, 0] = 0.5 * (1.0 - c)
-    G[0, 1] = G[1, 0] = math.sqrt(3.0) / 4.0 * (1.0 - c) * (1.0 + c)
-    G[1, 1] = 0.5 * (1.0 - c) * (1.0 + c + c * c)
-    G[2, 2] = G[3, 3] = 0.25 * (1.0 - c) ** 2 * (2.0 + c)
+    G[0, 0] = 0.5 * s
+    G[0, 1] = G[1, 0] = math.sqrt(3.0) / 4.0 * s * (1.0 + c)
+    G[1, 1] = 0.5 * s * (1.0 + c + c * c)
+    G[2, 2] = G[3, 3] = 0.25 * s * s * (2.0 + c)
     return G
+
+
+def cap_gram_extremes(r):
+    """(lambda_min, lambda_max) of cap_gram_analytic(r), in closed form.
+
+    The (0,0)-(1,0) block has determinant G00^4 exactly, so its small
+    eigenvalue, about r^6/256, is taken as that over the large one; an
+    eigensolver run on G loses its digits on small caps (docs/decisions.md).
+    """
+    G = cap_gram_analytic(r)
+    tr, det = G[0, 0] + G[1, 1], G[0, 0] ** 4
+    big = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+    eigs = (det / big, big, G[2, 2])
+    return min(eigs), max(eigs)
 
 
 def min_eig_ratio(r):
     """lambda_min(G / mu(cap)) divided by its leading asymptotic r^4/(256 pi)."""
-    mu = cap_area(r)
-    lam_min, _ = sym_eig_minmax(cap_gram_analytic(r) / mu)
-    return lam_min / (r**4 / (256.0 * math.pi))
+    lam_min, _ = cap_gram_extremes(r)
+    return lam_min / cap_area(r) / (r**4 / (256.0 * math.pi))
 
 
 @dataclass
@@ -78,8 +98,8 @@ def cap_gram_compare(points, center, r):
     a violation at h_cap / r beyond 0.1 is reported as out-of-hypothesis rather
     than as a failure, since the inequality only holds for cap-filling sets.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    center = sphere_point(*np.asarray(center, dtype=np.float64))
+    pts = as_points(points)
+    center = sphere_point(*as_points(center))
     d = geodesic_distance(center, pts)
     if np.any(d > r + 1e-12):
         raise ValueError(
@@ -88,16 +108,14 @@ def cap_gram_compare(points, center, r):
 
     phi = HarmonicBasis(1).eval(pts)
     G = phi.T @ phi
-    lam_min, _ = sym_eig_minmax(G)
+    lam_min = float(np.linalg.eigvalsh(G)[0])
     if lam_min <= 1e-13:
         raise NonUnisolventError(
             f"cap point set has singular discrete Gram (lambda_min = {lam_min:.3e})"
         )
     norm_inv = 1.0 / lam_min
 
-    mu = cap_area(r)
-    lam_min_cap, _ = sym_eig_minmax(cap_gram_analytic(r))
-    bound = mu / lam_min_cap
+    bound = cap_area(r) / cap_gram_extremes(r)[0]
 
     probes = cap_points(center, r, CAP_PROBES)
     dist, _ = cKDTree(pts).query(probes, k=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import is_integer
+from .geom import as_points, checked_int
 from .solver import SaddleSystem, on_workers
 
 # 1 - x.a below this is treated as a coincident pair; the kernel limit is 0.
@@ -29,9 +29,7 @@ class KernelSpec:
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        if not is_integer(self.m) or self.m < 2:
-            raise ValueError(f"kernel order must be an integer >= 2, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", checked_int(self.m, "kernel order", 2))
         object.__setattr__(self, "poly_dim", self.m * self.m)
         # max of |s^(m-1) log s| over s = 1 - x.a in (0, 2]: on (0, 1) it is at
         # most 1/(e (m-1)) < 1/e, and on [1, 2] it increases to the endpoint
@@ -88,9 +86,8 @@ def eval_kernel(spec, a, b):
     The fresh dot products are transformed in place, so the peak is about 2.1
     times the result: the result, the logarithm and the near-pair mask.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return _kernel_inplace(spec, np.asarray(np.einsum("...i,...i->...", a, b)))
+    t = np.einsum("...i,...i->...", as_points(a), as_points(b))
+    return _kernel_inplace(spec, np.asarray(t))
 
 
 # Side of the square blocks that KernelMatvec and kernel_sum work in. A tile
@@ -155,7 +152,7 @@ class KernelMatvec:
 
     def __init__(self, spec, points, materialize_limit=MATERIALIZE_LIMIT):
         self.spec = spec
-        self.points = np.asarray(points, dtype=np.float64)
+        self.points = as_points(points)
         n = self.points.shape[0]
         self._spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
         self._stripes = min(KERNEL_STRIPES, len(self._spans))
@@ -226,8 +223,8 @@ def kernel_matrix(spec, pts_a, pts_b=None):
     The reference the tests check the tiled routes against: one product and
     one kernel transform, 2.125 x 8 N^2 bytes at peak for N points.
     """
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    return _tile(spec, pts_a, pts_a if pts_b is None else np.asarray(pts_b, dtype=np.float64))
+    pts_a = as_points(pts_a)
+    return _tile(spec, pts_a, pts_a if pts_b is None else as_points(pts_b))
 
 
 def kernel_sum(spec, targets, sources, weights):
@@ -238,11 +235,11 @@ def kernel_sum(spec, targets, sources, weights):
     evaluated, whether or not targets and sources are the same points; the
     symmetric product that evaluates half of them is KernelMatvec.
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = as_points(targets)
     # A copy, so that no tile multiplies a block of points by its own
     # transpose: numpy takes the symmetric product (syrk) for that, which
     # rounds differently from the general product of every other tile.
-    sources = np.array(sources, dtype=np.float64)
+    sources = np.array(as_points(sources))
     w = _checked_weights(weights, sources.shape[0])
     out = np.zeros((targets.shape[0],) + w.shape[1:])
     T = KERNEL_TILE
@@ -267,8 +264,7 @@ class HarmonicBasis:
     degree_max: int
 
     def __post_init__(self):
-        if not is_integer(self.degree_max) or self.degree_max < 0:
-            raise ValueError(f"degree_max must be an integer >= 0, got {self.degree_max!r}")
+        object.__setattr__(self, "degree_max", checked_int(self.degree_max, "degree_max", 0))
 
     @property
     def n_funcs(self):
@@ -286,7 +282,7 @@ class HarmonicBasis:
 
     def eval(self, points):
         """Basis values at unit vectors; (..., 3) -> (..., (L+1)^2)."""
-        pts = np.asarray(points, dtype=np.float64)
+        pts = as_points(points)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -335,7 +331,7 @@ def assemble_saddle(spec, nodes, subset=None):
     The one-stencil case of assemble_saddle_stack, so a full system and every
     stencil of the local basis build are assembled by the same operations.
     """
-    pts = nodes.points if hasattr(nodes, "points") else np.asarray(nodes, dtype=np.float64)
+    pts = as_points(nodes)
     if subset is not None:
         pts = pts[np.asarray(subset, dtype=np.int64)]
     n = pts.shape[0]
@@ -374,7 +370,7 @@ def evaluate_expansion(spec, centers, a, c, points):
     one tiled kernel_sum, so the (P, N) kernel matrix is never materialized.
     """
     c = np.asarray(c, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
+    pts = as_points(points)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
 

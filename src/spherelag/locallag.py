@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .geom import NodeSet, ensure_stats, is_integer
+from .geom import NodeSet, checked_int, ensure_stats
 from .kernel import (
     KERNEL_TILE,
     MATERIALIZE_LIMIT,
@@ -82,15 +82,12 @@ class FootprintRule:
         if self.fixed_n is not None:
             if self.M is not None:
                 raise ValueError("a footprint rule takes M or fixed_n, not both")
-            if not is_integer(self.fixed_n):
-                raise ValueError(f"footprint size fixed_n must be an integer, got {self.fixed_n!r}")
-            if self.fixed_n < 1:
-                raise ValueError(f"footprint size fixed_n must be at least 1, got {self.fixed_n}")
-            object.__setattr__(self, "fixed_n", int(self.fixed_n))
+            object.__setattr__(self, "fixed_n", checked_int(self.fixed_n, "fixed_n", 1))
 
     def stencil_count(self, n_nodes, m):
         if self.mode != "count":
             raise ValueError("stencil_count applies to count mode only")
+        n_nodes = checked_int(n_nodes, "n_nodes", 1)
         if self.fixed_n is not None:
             target = self.fixed_n
         elif n_nodes <= 1:
@@ -237,19 +234,10 @@ def _cardinal_solves(spec, pts, phi, centres, start, rows, C, ratio):
     return A, np.flatnonzero(singular)
 
 
-def _checked_centre(center_idx, n):
-    """center_idx as an int; it must be an integer in 0..n-1, and not a bool."""
-    if not is_integer(center_idx):
-        raise ValueError(f"center_idx {center_idx} is not an integer in 0..{n - 1}")
-    if not 0 <= center_idx < n:
-        raise ValueError(f"center_idx {center_idx} is outside 0..{n - 1}")
-    return int(center_idx)
-
-
 def eval_local_function(basis, center_idx, points):
     """Values of the local Lagrange function chi_xi at arbitrary points."""
     A = basis.A_sparse
-    center_idx = _checked_centre(center_idx, A.shape[1])
+    center_idx = checked_int(center_idx, "center_idx", 0, A.shape[1] - 1)
     col = slice(A.indptr[center_idx], A.indptr[center_idx + 1])
     return evaluate_expansion(
         basis.spec, basis.nodes.points[A.indices[col]], A.data[col], basis.C[:, center_idx], points

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import solver
-from .geom import NodeSet, geodesic_distance, is_integer
+from .geom import as_points, checked_int, geodesic_distance
 
 LEAF_SIZE = 16
 
@@ -31,8 +31,7 @@ def build_index(nodes):
     The queries read the points back as tree.data, which is the float64 array
     passed in (not a copy), and the node count as tree.n.
     """
-    pts = nodes.points if isinstance(nodes, NodeSet) else np.asarray(nodes, dtype=np.float64)
-    return cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True)
+    return cKDTree(as_points(nodes), leafsize=LEAF_SIZE, balanced_tree=True)
 
 
 def _nearest(index, centres, k):
@@ -42,8 +41,7 @@ def _nearest(index, centres, k):
     per centre; they are re-ranked in blocks of about _RERANK_BLOCK candidates.
     """
     n = index.n
-    if not is_integer(k) or not 1 <= k <= n:
-        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
+    k = checked_int(k, "k", 1, n)
     pts = index.data
     kq = min(n, k + _TIE_PAD)
     _, cand = index.query(pts[centres], k=kq, workers=solver.WORKERS)
@@ -65,7 +63,8 @@ def knn(index, center_idx, k):
 
     Ascending geodesic distance, ties broken by ascending node index.
     """
-    return _nearest(index, np.array([center_idx], dtype=np.int64), k)[0]
+    centre = checked_int(center_idx, "center_idx", 0, index.n - 1)
+    return _nearest(index, np.array([centre], dtype=np.int64), k)[0]
 
 
 def knn_all(index, k):
@@ -81,9 +80,9 @@ def ball(index, center, r):
     match a linear scan exactly.
     """
     r = float(r)
-    if r < 0.0:
-        raise ValueError("radius must be >= 0")
-    center = np.asarray(center, dtype=np.float64)
+    if not r >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {r!r}")
+    center = as_points(center)
     if r >= np.pi:
         cand = np.arange(index.n, dtype=np.int64)
     else:

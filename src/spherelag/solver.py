@@ -1,4 +1,4 @@
-"""Linear algebra: bordered (saddle) solves, checked CSC storage, GMRES, eigen bounds."""
+"""Linear algebra: bordered (saddle) solves, checked CSC storage, GMRES."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .geom import is_integer
+from .geom import checked_int
 
 PIVOT_RTOL = 1e-14
 
@@ -280,10 +280,7 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     that grow by one entry per iteration, so memory follows the iterations
     taken, not maxit.
     """
-    if not is_integer(maxit):
-        raise ValueError(f"maxit must be an integer, got {maxit!r}")
-    if maxit < 1:
-        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    maxit = checked_int(maxit, "maxit", 1)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     b = np.asarray(rhs, dtype=np.float64)
@@ -348,13 +345,3 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
         raise GmresNotConvergedError(x, report)
     return x, report
 
-
-# ---- small symmetric eigenproblems ---- #
-
-def sym_eig_minmax(matrix):
-    """(lambda_min, lambda_max) of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(w[0]), float(w[-1])

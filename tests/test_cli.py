@@ -314,6 +314,15 @@ def test_solve_seed_controls_the_data(node_file, basis_file, tmp_path):
     assert not np.array_equal(a8, a7) and not np.array_equal(c8, c7)
 
 
+@pytest.mark.parametrize("command", ["solve", "nodes stats"])
+def test_a_negative_seed_is_a_domain_error(node_file, basis_file, command, capsys):
+    args = {
+        "solve": ["solve", "--nodes", str(node_file), "--basis", str(basis_file)],
+        "nodes stats": ["nodes", "stats", str(node_file)],
+    }[command]
+    assert_domain_error(["--seed", "-1", *args], capsys, "--seed must be an integer >= 0, got -1")
+
+
 def test_solve_accepts_a_data_file(node_file, basis_file, tmp_path):
     data = tmp_path / "data.txt"
     np.savetxt(data, np.exp(load_nodes(node_file).points[:, 2]))
@@ -359,7 +368,7 @@ def test_solve_nonconvergence_still_reports(node_file, basis_file, tmp_path, cap
 @pytest.mark.parametrize("maxit", ["-3", "0"])
 def test_solve_rejects_maxit_below_one(node_file, basis_file, capsys, maxit):
     argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--maxit", maxit]
-    assert_domain_error(argv, capsys, "maxit must be at least 1")
+    assert_domain_error(argv, capsys, f"maxit must be an integer >= 1, got {maxit}")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -403,7 +412,7 @@ def test_build_rejects_bad_footprint_values(node_file, tmp_path, capsys, flag, v
     out = tmp_path / "b.npz"
     argv = ["build", "--nodes", str(node_file), flag, value, "--out", str(out)]
     if flag == "--n":
-        assert_domain_error(argv, capsys, f"fixed_n must be at least 1, got {value}")
+        assert_domain_error(argv, capsys, f"fixed_n must be an integer >= 1, got {value}")
     else:
         assert_domain_error(argv, capsys, f"footprint M must be finite and positive, got {float(value)}")
     assert not out.exists()
@@ -533,7 +542,7 @@ def test_study_decay(node_file, tmp_path):
 @pytest.mark.parametrize("center_idx", ["99999", "-1"])
 def test_study_decay_rejects_a_center_outside_the_set(node_file, capsys, center_idx):
     argv = ["study", "decay", "--nodes", str(node_file), "--center-idx", center_idx]
-    assert_domain_error(argv, capsys, f"center_idx {center_idx} is outside 0..399")
+    assert_domain_error(argv, capsys, f"center_idx must be an integer in 0..399, got {center_idx}")
 
 
 def test_study_convergence(tmp_path):

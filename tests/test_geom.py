@@ -15,12 +15,17 @@ from spherelag.geom import (
     DuplicateNodesError,
     NodeFileError,
     NodeSet,
+    as_points,
     cap_points,
+    checked_int,
     mesh_stats,
     normalize_rows,
     sphere_point,
     tangent_frame,
 )
+
+from spherelag.gramstudy import cap_gram_compare
+from spherelag.kernel import HarmonicBasis
 
 from helpers import fib, ico, random_unit_points, rng
 
@@ -111,10 +116,58 @@ def test_fibonacci_structure():
         lambda: sl.gen_icosahedral(True),
         lambda: sl.gen_icosahedral_freq(2.9),
         lambda: sl.probe_sequence(2.5),
+        lambda: cap_points(np.array([0.0, 0.0, 1.0]), 0.3, 2.5),
+        lambda: cap_points(np.array([0.0, 0.0, 1.0]), 0.3, 0),
     ],
 )
 def test_generator_rejects_bad_sizes(call):
     with pytest.raises(ValueError):
+        call()
+
+
+def test_checked_int_takes_integers_in_range_and_names_the_argument():
+    assert checked_int(np.int64(3), "k", 1, 3) == 3 and type(checked_int(np.int64(3), "k", 1)) is int
+    for bad in (0, 4, 2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=f"^k must be an integer in 1..3, got {bad!r}$"):
+            checked_int(bad, "k", 1, 3)
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got -2$"):
+        checked_int(-2, "n", 1)
+
+
+def test_as_points_checks_only_the_shape():
+    nodes = fib(20)
+    pts = np.array(nodes.points)
+    assert as_points(nodes) is nodes.points and as_points(pts) is pts
+    assert as_points([0.0, 0.0, 1.0]).dtype == np.float64
+    assert as_points(np.full((2, 3), np.nan)).shape == (2, 3)  # no scan of the values
+
+
+SPEC = sl.KernelSpec(2)
+BAD = np.ones((5, 2))
+GOOD = fib(5).points
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sl.build_index(BAD),
+        lambda: sl.assemble_saddle(SPEC, BAD),
+        lambda: sl.KernelMatvec(SPEC, BAD),
+        lambda: sl.kernel_matrix(SPEC, BAD),
+        lambda: sl.kernel_matrix(SPEC, GOOD, BAD),
+        lambda: sl.kernel_sum(SPEC, BAD, GOOD, np.ones(5)),
+        lambda: sl.kernel_sum(SPEC, GOOD, BAD, np.ones(5)),
+        lambda: sl.eval_kernel(SPEC, BAD, GOOD),
+        lambda: sl.evaluate_expansion(SPEC, GOOD, np.ones(5), np.ones(4), BAD),
+        lambda: HarmonicBasis(1).eval(BAD),
+        lambda: sl.geodesic_distance(GOOD, BAD),
+        lambda: sl.ball(sl.build_index(GOOD), BAD[0], 0.5),
+        lambda: cap_gram_compare(BAD, GOOD[0], 0.5),
+        lambda: cap_points(BAD[0], 0.5, 10),
+    ],
+)
+def test_every_point_argument_rejects_two_coordinates(call):
+    with pytest.raises(ValueError, match=r"^points must have 3 coordinates on the last axis"):
         call()
 
 

@@ -11,6 +11,7 @@ from spherelag.gramstudy import (
     CAP_GRAM_ORDER,
     cap_gram_analytic,
     cap_gram_compare,
+    cap_gram_extremes,
     min_eig_ratio,
 )
 from spherelag.kernel import HarmonicBasis
@@ -79,6 +80,24 @@ def test_min_eig_ratio_approaches_asymptote():
     assert abs(r05 - 1.0) < 1e-2
     assert abs(r01 - 1.0) < 1e-3
     assert abs(r01 - 1.0) < abs(r05 - 1.0) < abs(r3 - 1.0)
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_min_eig_ratio_follows_its_series_on_small_caps(r):
+    # lambda_min(G / mu) / (r^4 / (256 pi)) = 1 + 5 r^2 / 24 + O(r^4); below
+    # r = 1e-4 the O(r^4) term is under the rounding of a double near 1
+    rounding = 4.0 * np.finfo(np.float64).eps
+    assert abs(min_eig_ratio(r) - (1.0 + 5.0 * r * r / 24.0)) <= r**4 + rounding
+
+
+@pytest.mark.parametrize("r", [1e-9, 1e-4, 0.3, 1.0, 2.5, math.pi])
+def test_cap_gram_extremes_match_the_matrix(r):
+    lo, hi = cap_gram_extremes(r)
+    assert (lo, hi) == (min(lo, hi), max(lo, hi)) and lo > 0.0
+    spectrum = np.linalg.eigvalsh(cap_gram_analytic(r))
+    assert hi == pytest.approx(spectrum[-1], rel=1e-14)
+    if r >= 0.3:  # below, the eigensolver loses the small eigenvalue the closed form keeps
+        assert lo == pytest.approx(spectrum[0], rel=1e-12)
 
 
 def test_cap_comparison_holds_for_filling_sets():

@@ -56,6 +56,9 @@ def test_knn_validates_k():
             knn(index, 0, bad)
         with pytest.raises(ValueError):
             knn_all(index, bad)
+    for centre in (-1, 2.5, True, 50, 60):
+        with pytest.raises(ValueError, match=f"center_idx must be an integer in 0..49, got {centre}"):
+            knn(index, centre, 3)
 
 
 def test_knn_breaks_ties_by_index():
@@ -106,6 +109,8 @@ def test_ball_empty_and_invalid():
     assert ball(index, off_node, 1e-6).size == 0
     with pytest.raises(ValueError):
         ball(index, off_node, -0.1)
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        ball(index, off_node, float("nan"))
 
 
 def test_ball_sorted_by_distance_then_index():

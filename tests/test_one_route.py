@@ -1,5 +1,5 @@
 """The package's threads and LAPACK factorisations live in solver.py alone,
-and its kernel tiles in kernel.py alone.
+its kernel tiles in kernel.py alone, and its integer check in geom.py alone.
 
 The local basis build and factor_solve share one stencil solve,
 solver.bordered_solve, and the build's threads come from solver.on_workers.
@@ -59,3 +59,27 @@ def test_only_kernel_names_the_tile_helpers():
     assert modules, f"no modules under {PACKAGE}"
     users = {path.name: sorted(named_identifiers(path) & TILE_HELPERS) for path in modules}
     assert {name for name, found in users.items() if found} == {"kernel.py"}, users
+
+
+# What counts as an integer argument is decided by geom.checked_int alone.
+INTEGER_CHECKS = {"is_integer", "_checked_centre"}
+
+
+def integer_check_sites(path):
+    """Mentions of np.integer or numbers.Integral, and the old local integer checks defined."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("integer", "Integral"):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numbers"):
+            found |= {a.name for a in node.names} & {"integer", "Integral"}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in INTEGER_CHECKS:
+            found.add(node.name)
+    return found
+
+
+def test_only_geom_decides_what_an_integer_is():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    sites = {path.name: sorted(integer_check_sites(path)) for path in modules}
+    assert {name for name, found in sites.items() if found} == {"geom.py"}, sites

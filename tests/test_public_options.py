@@ -80,7 +80,6 @@ OPTIONS = {
     "save_nodes": (),
     "sphere_point": (),
     "spmv": (),
-    "sym_eig_minmax": (),
     "validated_csc": (),
 }
 

@@ -1,4 +1,4 @@
-"""Saddle solves, the worker pool, checked CSC storage, GMRES, and eigenvalue bounds."""
+"""Saddle solves, the worker pool, checked CSC storage, and GMRES."""
 
 import threading
 import time
@@ -20,7 +20,6 @@ from spherelag.solver import (
     on_workers,
     one_blas_thread,
     spmv,
-    sym_eig_minmax,
     validated_csc,
 )
 
@@ -38,29 +37,6 @@ def random_saddle(n, p, seed=0):
     M[:n, n:] = Phi
     M[n:, :n] = Phi.T
     return SaddleSystem(n=n, p=p, matrix=M)
-
-
-def jacobi_eigenvalues(matrix, sweeps=60):
-    """Cyclic Jacobi rotations; converges to the spectrum of a symmetric matrix."""
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) < 1e-15:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off < 1e-15:
-            break
-    return np.sort(np.diag(a))
 
 
 # ---- saddle systems ---- #
@@ -394,31 +370,3 @@ def test_gmres_storage_grows_without_changing_the_iterates():
     x_big, report_big = gmres(lambda v: d * v, b, tol=1e-13, maxit=10**9)
     assert np.array_equal(x_big, x)
     assert report_big.residual_history == report.residual_history
-
-
-# ---- eigen bounds ---- #
-
-def test_sym_eig_minmax_against_jacobi_oracle():
-    g = rng(16)
-    base = g.normal(size=(10, 10))
-    sym = base + base.T
-    lo, hi = sym_eig_minmax(sym)
-    spectrum = jacobi_eigenvalues(sym)
-    assert lo == pytest.approx(spectrum[0], abs=1e-10)
-    assert hi == pytest.approx(spectrum[-1], abs=1e-10)
-
-
-def test_sym_eig_minmax_two_by_two_closed_form():
-    # eigenvalues of [[a, b], [b, d]]: (a+d)/2 +- sqrt(((a-d)/2)^2 + b^2)
-    a, b, d = 2.0, 0.7, -1.0
-    lo, hi = sym_eig_minmax(np.array([[a, b], [b, d]]))
-    mid, rad = (a + d) / 2.0, np.hypot((a - d) / 2.0, b)
-    assert lo == pytest.approx(mid - rad, abs=1e-14)
-    assert hi == pytest.approx(mid + rad, abs=1e-14)
-
-
-def test_sym_eig_minmax_symmetrizes_and_validates():
-    lo, hi = sym_eig_minmax(np.array([[1.0, 1.0], [0.0, 1.0]]))  # uses (M + M^T)/2
-    assert (lo, hi) == (pytest.approx(0.5), pytest.approx(1.5))
-    with pytest.raises(ValueError):
-        sym_eig_minmax(np.zeros((2, 3)))
