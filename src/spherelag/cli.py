@@ -118,21 +118,21 @@ def _footprint_from_args(args):
 
 # ---- subcommands ---- #
 
+# Each size flag of `nodes gen`: the --kind it applies to and its generator.
+_SIZE_FLAGS = {
+    "level": ("icosahedral", gen_icosahedral),
+    "freq": ("icosahedral", gen_icosahedral_freq),
+    "n": ("fibonacci", gen_fibonacci),
+}
+
+
 def cmd_nodes_gen(args, config):
-    if args.kind == "icosahedral":
-        if args.n is not None:
-            raise ValueError("--n applies to fibonacci generation, not icosahedral")
-        if (args.level is None) == (args.freq is None):
-            raise ValueError("icosahedral generation needs exactly one of --level / --freq")
-        nodes = gen_icosahedral(args.level) if args.level is not None else gen_icosahedral_freq(args.freq)
-    else:
-        for flag, value in (("--level", args.level), ("--freq", args.freq)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to icosahedral generation, not fibonacci")
-        if args.n is None:
-            raise ValueError("fibonacci generation needs --n")
-        nodes = gen_fibonacci(args.n)
-    save_nodes(args.out, nodes)
+    # argparse has checked that exactly one size flag is given
+    flag = next(flag for flag in _SIZE_FLAGS if getattr(args, flag) is not None)
+    kind, generate = _SIZE_FLAGS[flag]
+    if kind != args.kind:
+        raise ValueError(f"--{flag} applies to {kind} generation, not {args.kind}")
+    save_nodes(args.out, generate(getattr(args, flag)))
     return 0
 
 
@@ -393,9 +393,10 @@ def build_parser():
     nodes_sub = nodes.add_subparsers(dest="nodes_command", required=True)
     gen = nodes_sub.add_parser("gen", help="write a node file")
     gen.add_argument("--kind", choices=["icosahedral", "fibonacci"], required=True)
-    gen.add_argument("--level", type=int, help="icosahedral bisection level (N = 10*4^level+2)")
-    gen.add_argument("--freq", type=int, help="icosahedral subdivision frequency (N = 10*freq^2+2)")
-    gen.add_argument("--n", type=int, help="fibonacci node count")
+    size = gen.add_mutually_exclusive_group(required=True)
+    size.add_argument("--level", type=int, help="icosahedral bisection level (N = 10*4^level+2)")
+    size.add_argument("--freq", type=int, help="icosahedral subdivision frequency (N = 10*freq^2+2)")
+    size.add_argument("--n", type=int, help="fibonacci node count")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_nodes_gen)
     stats = nodes_sub.add_parser("stats", help="h, q, rho of a node file")

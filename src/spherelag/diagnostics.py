@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import checked_int, ensure_stats, geodesic_distance, probe_sequence, tangent_frame
+from .geom import checked_int, checked_real, ensure_stats, geodesic_distance
+from .geom import probe_sequence, tangent_frame
 from .kernel import evaluate_expansion
 from .locallag import build_local_basis, interpolate_preconditioned, quasi_interpolate
 from .solver import GmresNotConvergedError
@@ -62,14 +63,14 @@ def fit_decay(samples, kind, q=None, m=2):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise ValueError("samples must be an (n, 2) array of (t, value)")
+    m = checked_int(m, "kernel order", 2)
     if kind == "function":
         q_power = 0
         scale = 1.0
     elif kind == "coefficient":
-        if q is None or not 0.0 < q < math.inf:
-            raise ValueError(f"coefficient fits need the separation q, finite and > 0, got {q!r}")
+        q = checked_real(q, "separation q", 0, math.inf, "()")
         q_power = 2 - 2 * m
-        scale = float(q) ** (2 * m - 2)
+        scale = q ** (2 * m - 2)
     else:
         raise ValueError(f"unknown sample kind {kind!r}")
 

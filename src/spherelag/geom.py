@@ -31,6 +31,20 @@ def checked_int(value, name, lo, hi=None):
     raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def checked_real(value, name, lo, hi, ends="[]"):
+    """float(value) for a real number in the interval lo..hi; a bool, a str and NaN are not.
+
+    A real number is an int, float, np.integer or np.floating. ends is the
+    interval's pair of brackets, "[" or "(" then "]" or ")", as it is printed.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        x = float(value)
+        if (lo < x or ends[0] == "[" and x == lo) and (x < hi or ends[1] == "]" and x == hi):
+            return x
+    bounds = ", ".join("pi" if b == math.pi else str(b) for b in (lo, hi))
+    raise ValueError(f"{name} must be a real number in {ends[0]}{bounds}{ends[1]}, got {value!r}")
+
+
 class NodeFileError(ValueError):
     """Malformed node file (bad token count, unparsable or non-finite number, zero row)."""
 
@@ -130,9 +144,7 @@ def geodesic_distance(a, b):
 
 def cap_area(r):
     """Area of a spherical cap of geodesic radius r: 2 pi (1 - cos r), as 4 pi sin^2(r/2)."""
-    r = float(r)
-    if not 0.0 <= r <= math.pi:
-        raise ValueError(f"cap radius must lie in [0, pi], got {r}")
+    r = checked_real(r, "cap radius", 0, math.pi)
     return 4.0 * math.pi * math.sin(0.5 * r) ** 2
 
 
@@ -289,19 +301,18 @@ def probe_sequence(n):
 
 def cap_points(center, r, n):
     """n area-uniform spiral points inside the cap B(center, r)."""
-    if not 0.0 < r <= math.pi:
-        raise ValueError("cap radius must lie in (0, pi]")
+    r = checked_real(r, "cap radius", 0, math.pi, "(]")
     n = checked_int(n, "n", 1)
     center = sphere_point(*as_points(center))
     e1, e2 = tangent_frame(center)
     i = np.arange(n, dtype=np.float64)
-    z = 1.0 - (1.0 - math.cos(r)) * (i + 0.5) / n
-    rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    u = 2.0 * math.sin(0.5 * r) ** 2 * (i + 0.5) / n  # 1 - height, with no 1 - cos r to round to 0
+    rad = np.sqrt(u * (2.0 - u))
     phi = i * GOLDEN_ANGLE
     return (
         np.outer(rad * np.cos(phi), e1)
         + np.outer(rad * np.sin(phi), e2)
-        + np.outer(z, center)
+        + np.outer(1.0 - u, center)
     )
 
 

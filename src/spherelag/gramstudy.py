@@ -22,6 +22,7 @@ from .geom import (
     as_points,
     cap_area,
     cap_points,
+    checked_real,
     geodesic_distance,
     sphere_point,
 )
@@ -45,9 +46,7 @@ def cap_gram_analytic(r):
     Valid for 0 < r <= pi; at r = pi the matrix is the identity (orthonormality
     over the full sphere).
     """
-    r = float(r)
-    if not 0.0 < r <= math.pi:
-        raise ValueError(f"cap radius must lie in (0, pi], got {r}")
+    r = checked_real(r, "cap radius", 0, math.pi, "(]")
     s, c = 2.0 * math.sin(0.5 * r) ** 2, math.cos(r)  # s = 1 - c without the cancellation
     G = np.zeros((4, 4))
     G[0, 0] = 0.5 * s
@@ -98,13 +97,13 @@ def cap_gram_compare(points, center, r):
     a violation at h_cap / r beyond 0.1 is reported as out-of-hypothesis rather
     than as a failure, since the inequality only holds for cap-filling sets.
     """
+    r = checked_real(r, "cap radius", 0, math.pi, "(]")
     pts = as_points(points)
     center = sphere_point(*as_points(center))
     d = geodesic_distance(center, pts)
-    if np.any(d > r + 1e-12):
-        raise ValueError(
-            f"{int((d > r + 1e-12).sum())} points lie outside the cap of radius {r}"
-        )
+    outside = int((d > r + 1e-12).sum())
+    if outside:
+        raise ValueError(f"{outside} points lie outside the cap of radius {r}")
 
     phi = HarmonicBasis(1).eval(pts)
     G = phi.T @ phi
@@ -124,7 +123,7 @@ def cap_gram_compare(points, center, r):
 
     return CapGramReport(
         n_points=pts.shape[0],
-        r=float(r),
+        r=r,
         norm_inv_discrete=norm_inv,
         bound=bound,
         h_cap=h_cap,

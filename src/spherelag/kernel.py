@@ -45,33 +45,26 @@ def _kernel_inplace(spec, t, logs=None):
     1 lands in the mask, so t needs no upper clip. The cap and the mask are
     only formed when some entry needs them; NaN stays NaN. Without logs the
     logarithm is one temporary of t's size, plus a boolean mask. logs is a
-    flat float64 buffer to hold it instead; a C-contiguous matrix larger than
-    logs goes through in row blocks that fit. Either way every entry rounds
-    exactly as clipping t to [-1, 1] and applying the unfused formula.
+    flat float64 buffer of at least t.size entries to hold it instead. Either
+    way every entry rounds exactly as clipping t to [-1, 1] and applying the
+    unfused formula.
     """
     np.subtract(1.0, t, out=t)
     if t.size == 0:
         return t
     if not t.max() <= 2.0:
         np.minimum(t, 2.0, out=t)
-    masked = not t.min() >= SURFACE_CUTOFF
-    if logs is None:
-        blocks = [t]
-    else:
-        step = max(1, logs.size // t.shape[-1])
-        blocks = [t[lo : lo + step] for lo in range(0, len(t), step)]
-    for s in blocks:
-        near = s < SURFACE_CUTOFF if masked else None
+    near = None if t.min() >= SURFACE_CUTOFF else t < SURFACE_CUTOFF
+    if near is not None:
+        np.copyto(t, 1.0, where=near)
+    log = np.log(t, out=None if logs is None else logs[: t.size].reshape(t.shape))
+    if spec.m > 2:
+        np.power(t, spec.m - 1, out=t)
+    np.multiply(t, log, out=t)
+    if spec.m % 2:
+        np.negative(t, out=t)
         if near is not None:
-            np.copyto(s, 1.0, where=near)
-        log = np.log(s, out=None if logs is None else logs[: s.size].reshape(s.shape))
-        if spec.m > 2:
-            np.power(s, spec.m - 1, out=s)
-        np.multiply(s, log, out=s)
-        if spec.m % 2:
-            np.negative(s, out=s)
-            if near is not None:
-                np.copyto(s, 0.0, where=near)  # -(1 log 1) is -0.0; even m already has +0.0
+            np.copyto(t, 0.0, where=near)  # -(1 log 1) is -0.0; even m already has +0.0
     return t
 
 
@@ -157,7 +150,7 @@ class KernelMatvec:
         self._spans = [slice(lo, min(lo + KERNEL_TILE, n)) for lo in range(0, n, KERNEL_TILE)]
         self._stripes = min(KERNEL_STRIPES, len(self._spans))
         self.matrix = None
-        if n <= materialize_limit:
+        if n <= checked_int(materialize_limit, "materialize_limit", 0):
             # the tiles in row-block order, each a contiguous view of one allocation
             flat = np.empty(sum((r.stop - r.start) * (n - r.start) for r in self._spans))
             self.matrix = [[] for _ in range(self._stripes)]
@@ -179,21 +172,18 @@ class KernelMatvec:
 
         Each tile is computed into its array of `into`, a list like one
         stripe's `matrix`, or without it into one buffer that every tile of
-        the stripe reuses, valid until the next tile.
+        the stripe reuses, valid until the next tile. Either way the
+        logarithms go into one tile-sized buffer of the stripe.
         """
+        logs = np.empty(KERNEL_TILE * KERNEL_TILE)
         if into is None:
             spans = self._spans
             dots = np.empty(KERNEL_TILE * KERNEL_TILE)
-            logs = np.empty(KERNEL_TILE * KERNEL_TILE)
             into = (
                 (spans[a], cols, _block(dots, spans[a], cols))
                 for a in range(stripe, len(spans), self._stripes)
                 for cols in spans[a:]
             )
-        else:
-            # at most KERNEL_STRIPES stripes fill the cache at once, so their
-            # logarithm buffers add up to one tile
-            logs = np.empty(KERNEL_TILE * KERNEL_TILE // KERNEL_STRIPES)
         pts = self.points
         for rows, cols, k in into:
             yield rows, cols, _tile(self.spec, pts[rows], pts[cols], k, logs)
@@ -377,6 +367,11 @@ def evaluate_expansion(spec, centers, a, c, points):
     if c.shape[0] != spec.poly_dim:
         raise ValueError(
             f"{c.shape[0]} harmonic coefficients given, order m={spec.m} takes {spec.poly_dim}"
+        )
+    if np.shape(a)[1:] != c.shape[1:]:
+        raise ValueError(
+            f"kernel weights of shape {np.shape(a)} do not pair with harmonic coefficients"
+            f" of shape {c.shape}"
         )
     out = kernel_sum(spec, pts, centers, a)
     out += harmonic_basis_for(spec).eval(pts) @ c

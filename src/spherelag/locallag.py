@@ -12,14 +12,13 @@ essentially independent of N.
 from __future__ import annotations
 
 import math
-import numbers
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .geom import NodeSet, checked_int, ensure_stats
+from .geom import NodeSet, checked_int, checked_real, ensure_stats
 from .kernel import (
     KERNEL_TILE,
     MATERIALIZE_LIMIT,
@@ -75,10 +74,7 @@ class FootprintRule:
         if self.mode == "radius" and self.M is None:
             raise ValueError("radius mode needs M")
         if self.M is not None:
-            real = isinstance(self.M, numbers.Real) and not isinstance(self.M, bool)
-            if not (real and 0.0 < self.M < math.inf):
-                raise ValueError(f"footprint M must be finite and positive, got {self.M!r}")
-            object.__setattr__(self, "M", float(self.M))
+            object.__setattr__(self, "M", checked_real(self.M, "footprint M", 0, math.inf, "()"))
         if self.fixed_n is not None:
             if self.M is not None:
                 raise ValueError("a footprint rule takes M or fixed_n, not both")
@@ -101,8 +97,7 @@ class FootprintRule:
     def stencil_radius(self, h):
         if self.mode != "radius":
             raise ValueError("stencil_radius applies to radius mode only")
-        if not 0.0 < h < 1.0:
-            raise ValueError("radius mode needs a fill distance in (0, 1)")
+        h = checked_real(h, "fill distance h", 0, 1, "()")
         return self.M * h * math.log(1.0 / h)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import solver
-from .geom import as_points, checked_int, geodesic_distance
+from .geom import as_points, checked_int, checked_real, geodesic_distance
 
 LEAF_SIZE = 16
 
@@ -79,9 +79,7 @@ def ball(index, center, r):
     radius; the boundary decision uses the package geodesic distance so results
     match a linear scan exactly.
     """
-    r = float(r)
-    if not r >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {r!r}")
+    r = checked_real(r, "radius", 0, np.inf)
     center = as_points(center)
     if r >= np.pi:
         cand = np.arange(index.n, dtype=np.int64)

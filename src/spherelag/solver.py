@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .geom import checked_int
+from .geom import checked_int, checked_real
 
 PIVOT_RTOL = 1e-14
 
@@ -274,15 +274,14 @@ def gmres(apply_a, rhs, *, x0=None, tol=1e-8, maxit=200):
     right preconditioner P passes v -> A P v and maps the answer back through
     P, as interpolate_preconditioned does. Convergence is
     ||rhs - A x||_2 / ||rhs||_2 <= tol; an exact Krylov breakdown counts as
-    convergence; tol must be finite and positive. Raises
+    convergence; tol must be a real number in (0, inf). Raises
     GmresNotConvergedError (carrying the best iterate) when maxit is
     exhausted. The Krylov vectors and the Hessenberg columns are kept in lists
     that grow by one entry per iteration, so memory follows the iterations
     taken, not maxit.
     """
     maxit = checked_int(maxit, "maxit", 1)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = checked_real(tol, "tol", 0, np.inf, "()")
     b = np.asarray(rhs, dtype=np.float64)
     n = b.size
     bnorm = float(np.linalg.norm(b))

@@ -62,13 +62,15 @@ def test_nodes_gen_is_deterministic(tmp_path):
 def test_nodes_gen_argument_errors(tmp_path, capsys):
     out = str(tmp_path / "x.txt")
     args = ["nodes", "gen", "--kind", "icosahedral", "--out", out]
-    assert main(args) == 1
-    assert main(args + ["--level", "1", "--freq", "2"]) == 1
-    assert main(["nodes", "gen", "--kind", "fibonacci", "--out", out]) == 1
+    # one size flag, no more and no fewer: usage errors
+    assert main(args) == 2
+    assert main(args + ["--level", "1", "--freq", "2"]) == 2
+    assert main(args + ["--level", "1", "--n", "50"]) == 2
+    assert main(["nodes", "gen", "--kind", "fibonacci", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
     # the size flag of the other kind is refused, not ignored
-    assert_domain_error(args + ["--level", "1", "--n", "50"], capsys, "--n applies to fibonacci")
-    fibonacci = ["nodes", "gen", "--kind", "fibonacci", "--n", "100", "--out", out]
+    assert_domain_error(args + ["--n", "50"], capsys, "--n applies to fibonacci")
+    fibonacci = ["nodes", "gen", "--kind", "fibonacci", "--out", out]
     assert_domain_error(fibonacci + ["--level", "3"], capsys, "--level applies to icosahedral")
     assert_domain_error(fibonacci + ["--freq", "3"], capsys, "--freq applies to icosahedral")
     assert not (tmp_path / "x.txt").exists()
@@ -374,7 +376,7 @@ def test_solve_rejects_maxit_below_one(node_file, basis_file, capsys, maxit):
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_solve_rejects_a_tol_that_is_not_finite_and_positive(node_file, basis_file, capsys, tol):
     argv = ["solve", "--nodes", str(node_file), "--basis", str(basis_file), "--tol", tol]
-    assert_domain_error(argv, capsys, "tol must be finite and positive")
+    assert_domain_error(argv, capsys, f"tol must be a real number in (0, inf), got {float(tol)}")
 
 
 def test_solve_maxit_beyond_n_matches_the_default(node_file, basis_file, tmp_path):
@@ -414,7 +416,8 @@ def test_build_rejects_bad_footprint_values(node_file, tmp_path, capsys, flag, v
     if flag == "--n":
         assert_domain_error(argv, capsys, f"fixed_n must be an integer >= 1, got {value}")
     else:
-        assert_domain_error(argv, capsys, f"footprint M must be finite and positive, got {float(value)}")
+        message = f"footprint M must be a real number in (0, inf), got {float(value)}"
+        assert_domain_error(argv, capsys, message)
     assert not out.exists()
 
 
@@ -481,7 +484,7 @@ def test_domain_errors_catch_every_exported_error():
 
 def test_gram_domain_error(capsys):
     assert main(["gram", "--r", "-1"]) == 1
-    assert "cap radius" in capsys.readouterr().err
+    assert "cap radius must be a real number in (0, pi], got -1.0" in capsys.readouterr().err
 
 
 def test_gram_rejects_a_non_finite_cap_centre(node_file, capsys):

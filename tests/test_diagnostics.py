@@ -73,11 +73,13 @@ def test_fit_validation():
         fit_decay(good[:, 0], "function")
     with pytest.raises(ValueError, match="kind"):
         fit_decay(good, "magnitude")
-    with pytest.raises(ValueError, match="separation"):
-        fit_decay(good, "coefficient")
-    for q in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"coefficient fits need the separation q.*got {q}"):
+    for q in (None, 0.0, -1.0, math.nan, math.inf):
+        match = rf"^separation q must be a real number in \(0, inf\), got {q}$"
+        with pytest.raises(ValueError, match=match):
             fit_decay(good, "coefficient", q=q)
+    for m in (1, 2.5, True):
+        with pytest.raises(ValueError, match=f"^kernel order must be an integer >= 2, got {m}$"):
+            fit_decay(good, "coefficient", q=0.1, m=m)
 
 
 def test_fit_requires_enough_samples():

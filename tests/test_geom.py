@@ -1,6 +1,7 @@
 """Node generators, distances, mesh statistics, and node-file round trips."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -18,16 +19,17 @@ from spherelag.geom import (
     as_points,
     cap_points,
     checked_int,
+    checked_real,
     mesh_stats,
     normalize_rows,
     sphere_point,
     tangent_frame,
 )
 
-from spherelag.gramstudy import cap_gram_compare
+from spherelag.gramstudy import cap_gram_analytic, cap_gram_compare
 from spherelag.kernel import HarmonicBasis
 
-from helpers import fib, ico, random_unit_points, rng
+from helpers import fib, ico, local_basis, random_unit_points, rng
 
 
 # Half the angle between adjacent icosahedron vertices: arccos(1/sqrt(5)) / 2.
@@ -134,6 +136,75 @@ def test_checked_int_takes_integers_in_range_and_names_the_argument():
         checked_int(-2, "n", 1)
 
 
+def test_checked_real_returns_a_float_for_every_real_type():
+    for good in (1, 0.5, np.int64(1), np.float32(0.5)):
+        assert type(checked_real(good, "x", 0, 1)) is float
+    with pytest.raises(ValueError, match=r"^r must be a real number in \(0, pi\], got 4$"):
+        checked_real(4, "r", 0, math.pi, "(]")
+
+
+@pytest.mark.parametrize(
+    "ends, inside, outside",
+    [("[]", [0, 0.5, 1], [-0.5, 1.5]), ("[)", [0, 0.5], [1, 1.5]), ("(]", [0.5, 1], [-0.5, 0]), ("()", [0.5], [0, 1])],
+    ids=["closed", "left-closed", "right-closed", "open"],
+)
+def test_checked_real_closes_the_ends_it_is_told_to(ends, inside, outside):
+    for x in inside:
+        assert checked_real(x, "x", 0, 1, ends) == x
+    for bad in outside + [math.nan, True, np.bool_(False), "0.5", 0.5j, None]:
+        message = f"x must be a real number in {ends[0]}0, 1{ends[1]}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checked_real(bad, "x", 0, 1, ends)
+
+
+def _fit_samples():
+    t = np.linspace(0.0, 20.0, 200)
+    return np.column_stack([t, np.exp(-t)])
+
+
+def _preconditioned_solve(tol):
+    basis = local_basis(300)
+    f = np.ones(300)
+    return sl.interpolate_preconditioned(basis.nodes, basis.spec, basis, f, tol=tol)
+
+
+NORTH = np.array([0.0, 0.0, 1.0])
+
+# Every real argument: its name, its interval, a call taking it, and a value
+# outside the interval.
+REAL_SITES = {
+    "FootprintRule.M": ("footprint M", "(0, inf)", lambda v: sl.FootprintRule(M=v), -1.0),
+    "FootprintRule.stencil_radius": (
+        "fill distance h", "(0, 1)", lambda v: sl.FootprintRule("radius", M=2.0).stencil_radius(v), 1.0
+    ),
+    "ball": ("radius", "[0, inf]", lambda v: sl.ball(sl.build_index(GOOD), NORTH, v), -0.1),
+    "gmres": ("tol", "(0, inf)", lambda v: sl.gmres(lambda x: x, np.ones(4), tol=v), math.inf),
+    "interpolate_preconditioned": ("tol", "(0, inf)", _preconditioned_solve, 0.0),
+    "fit_decay": (
+        "separation q", "(0, inf)", lambda v: sl.fit_decay(_fit_samples(), "coefficient", q=v), 0.0
+    ),
+    "cap_area": ("cap radius", "[0, pi]", sl.cap_area, 3.5),
+    "cap_points": ("cap radius", "(0, pi]", lambda v: cap_points(NORTH, v, 10), 0.0),
+    "cap_gram_analytic": ("cap radius", "(0, pi]", cap_gram_analytic, -0.5),
+    "cap_gram_compare": ("cap radius", "(0, pi]", lambda v: cap_gram_compare(GOOD, NORTH, v), -1.0),
+}
+
+
+OUTSIDE = object()  # stands for the site's own value outside its interval
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+@pytest.mark.parametrize(
+    "bad", [True, np.bool_(True), "0.5", math.nan, OUTSIDE], ids=["True", "np.True_", "str", "nan", "outside"]
+)
+def test_every_real_argument_rejects_what_is_not_a_real_number_in_its_interval(site, bad):
+    name, interval, call, outside = REAL_SITES[site]
+    bad = outside if bad is OUTSIDE else bad
+    message = f"{name} must be a real number in {interval}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
 def test_as_points_checks_only_the_shape():
     nodes = fib(20)
     pts = np.array(nodes.points)
@@ -205,6 +276,10 @@ def test_cap_points_stay_inside_cap():
     assert pts.shape == (250, 3)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert sl.geodesic_distance(center, pts).max() <= 0.4 + 1e-12
+    # a cap so small that 1 - cos r rounds to 0
+    tiny = cap_points(NORTH, 1e-9, 10)
+    assert len(np.unique(tiny, axis=0)) == 10
+    assert sl.geodesic_distance(NORTH, tiny).max() <= 1e-9
 
 
 # ---- distances and frames ---- #

@@ -69,7 +69,7 @@ def test_gram_entry_order_matches_basis():
 
 @pytest.mark.parametrize("r", [0.0, -0.5, math.pi + 1e-6])
 def test_gram_rejects_bad_radii(r):
-    with pytest.raises(ValueError, match="cap radius"):
+    with pytest.raises(ValueError, match=rf"^cap radius must be a real number in \(0, pi\], got {r}$"):
         cap_gram_analytic(r)
 
 

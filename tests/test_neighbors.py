@@ -109,7 +109,7 @@ def test_ball_empty_and_invalid():
     assert ball(index, off_node, 1e-6).size == 0
     with pytest.raises(ValueError):
         ball(index, off_node, -0.1)
-    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+    with pytest.raises(ValueError, match=r"^radius must be a real number in \[0, inf\], got nan$"):
         ball(index, off_node, float("nan"))
 
 

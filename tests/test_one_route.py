@@ -1,5 +1,6 @@
 """The package's threads and LAPACK factorisations live in solver.py alone,
-its kernel tiles in kernel.py alone, and its integer check in geom.py alone.
+its kernel tiles in kernel.py alone, and its integer and real checks in
+geom.py alone.
 
 The local basis build and factor_solve share one stencil solve,
 solver.bordered_solve, and the build's threads come from solver.on_workers.
@@ -83,3 +84,11 @@ def test_only_geom_decides_what_an_integer_is():
     assert modules, f"no modules under {PACKAGE}"
     sites = {path.name: sorted(integer_check_sites(path)) for path in modules}
     assert {name for name, found in sites.items() if found} == {"geom.py"}, sites
+
+
+def test_only_geom_may_import_numbers():
+    # what counts as a real argument is decided by geom.checked_real alone
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    importers = {path.name for path in modules if "numbers" in imported_modules(path)}
+    assert importers <= {"geom.py"}, importers
